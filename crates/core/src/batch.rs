@@ -76,12 +76,12 @@ impl SimPush {
         // order.
         let next = AtomicUsize::new(0);
         let mut slots: Vec<Option<QueryResult>> = (0..queries.len()).map(|_| None).collect();
-        let done: Vec<(usize, QueryResult)> = crossbeam::scope(|scope| {
+        let done: Vec<(usize, QueryResult)> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(threads);
             for _ in 0..threads {
                 let next = &next;
                 let g = &g;
-                handles.push(scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     // One workspace per worker thread, reused across every
                     // query this worker steals.
                     let mut ws = QueryWorkspace::new();
@@ -101,8 +101,7 @@ impl SimPush {
                 .into_iter()
                 .flat_map(|h| h.join().unwrap())
                 .collect()
-        })
-        .expect("batch worker panicked");
+        });
 
         for (i, result) in done {
             slots[i] = Some(result);

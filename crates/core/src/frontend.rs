@@ -311,6 +311,14 @@ pub enum SubmitError {
     Overloaded,
     /// The front-end has shut down; no request can be accepted.
     ShutDown,
+    /// The query node is out of range for the served graph. Checked
+    /// before admission, so it touches no queue or counter.
+    InvalidNode {
+        /// The rejected node id.
+        node: NodeId,
+        /// The served graph's node count.
+        num_nodes: usize,
+    },
 }
 
 impl std::fmt::Display for SubmitError {
@@ -318,6 +326,10 @@ impl std::fmt::Display for SubmitError {
         match self {
             SubmitError::Overloaded => write!(f, "admission queue full (overloaded)"),
             SubmitError::ShutDown => write!(f, "front-end has shut down"),
+            SubmitError::InvalidNode { node, num_nodes } => write!(
+                f,
+                "query node {node} out of range for graph with {num_nodes} nodes"
+            ),
         }
     }
 }
@@ -715,14 +727,15 @@ impl Frontend {
         }
     }
 
-    fn admit(&self, node: NodeId, deadline: Option<Duration>) -> Request {
-        assert!(
-            (node as usize) < self.num_nodes,
-            "query node {node} out of range for graph with {} nodes",
-            self.num_nodes
-        );
+    fn admit(&self, node: NodeId, deadline: Option<Duration>) -> Result<Request, SubmitError> {
+        if node as usize >= self.num_nodes {
+            return Err(SubmitError::InvalidNode {
+                node,
+                num_nodes: self.num_nodes,
+            });
+        }
         let submitted_at = Instant::now();
-        Request {
+        Ok(Request {
             node,
             submitted_at,
             deadline: deadline
@@ -733,7 +746,7 @@ impl Frontend {
                 done: Condvar::new(),
                 cancelled: AtomicBool::new(false),
             }),
-        }
+        })
     }
 
     /// The depth gauge must rise *before* the request becomes visible to
@@ -784,10 +797,8 @@ impl Frontend {
     ///
     /// A full queue returns [`SubmitError::Overloaded`] immediately — the
     /// caller sheds the request (and typically counts it rejected) instead
-    /// of queueing unbounded work.
-    ///
-    /// # Panics
-    /// Panics if `node` is out of range for the backing store's graph.
+    /// of queueing unbounded work. An out-of-range `node` returns
+    /// [`SubmitError::InvalidNode`].
     pub fn try_submit(&self, node: NodeId) -> Result<Ticket, SubmitError> {
         self.try_submit_with_deadline(node, None)
     }
@@ -795,15 +806,12 @@ impl Frontend {
     /// [`try_submit`](Self::try_submit) with a per-request deadline
     /// override (`None` falls back to
     /// [`default_deadline`](FrontendOptions::default_deadline)).
-    ///
-    /// # Panics
-    /// Panics if `node` is out of range for the backing store's graph.
     pub fn try_submit_with_deadline(
         &self,
         node: NodeId,
         deadline: Option<Duration>,
     ) -> Result<Ticket, SubmitError> {
-        let request = self.admit(node, deadline);
+        let request = self.admit(node, deadline)?;
         let slot = request.slot.clone();
         let tx = self.tx.as_ref().expect("sender lives until shutdown");
         let depth = self.gauge_up();
@@ -823,12 +831,10 @@ impl Frontend {
 
     /// Submits a query, blocking up to `timeout` for queue space — the
     /// cooperative client that would rather wait briefly than be rejected.
-    /// Timing out still counts as a rejection in [`FrontendStats`].
-    ///
-    /// # Panics
-    /// Panics if `node` is out of range for the backing store's graph.
+    /// Timing out still counts as a rejection in [`FrontendStats`]; an
+    /// out-of-range `node` returns [`SubmitError::InvalidNode`].
     pub fn submit_timeout(&self, node: NodeId, timeout: Duration) -> Result<Ticket, SubmitError> {
-        let request = self.admit(node, None);
+        let request = self.admit(node, None)?;
         let slot = request.slot.clone();
         let tx = self.tx.as_ref().expect("sender lives until shutdown");
         let depth = self.gauge_up();
@@ -865,12 +871,11 @@ impl Frontend {
     /// failed within `submit_timeout` (a closed loop self-throttles, so
     /// with `clients ≤ queue capacity` and a generous timeout that arm is
     /// unreachable in practice — but a hung writer or a shut-down
-    /// front-end still surfaces as data instead of a panic).
+    /// front-end still surfaces as data instead of a panic). An
+    /// out-of-range key resolves to [`SubmitError::InvalidNode`].
     ///
     /// # Panics
-    /// Panics if `clients` is 0, or if any key is out of range for the
-    /// backing store's graph (same contract as
-    /// [`try_submit`](Self::try_submit)).
+    /// Panics if `clients` is 0.
     pub fn run_closed_loop(
         &self,
         keys: &[NodeId],
@@ -1200,6 +1205,45 @@ mod tests {
     }
 
     #[test]
+    fn rejects_out_of_range_nodes_at_submission() {
+        let store = Arc::new(GraphStore::new(gen::gnm(50, 200, 1)));
+        let engine = SimPush::new(Config::new(0.05));
+        let frontend = Frontend::start(&engine, store, options(1, 4).build());
+        let before = frontend.stats();
+        let invalid = SubmitError::InvalidNode {
+            node: 50,
+            num_nodes: 50,
+        };
+        assert_eq!(frontend.try_submit(50).map(|_| ()), Err(invalid));
+        assert_eq!(
+            frontend
+                .try_submit_with_deadline(50, Some(Duration::from_secs(1)))
+                .map(|_| ()),
+            Err(invalid)
+        );
+        assert_eq!(
+            frontend
+                .submit_timeout(50, Duration::from_secs(1))
+                .map(|_| ()),
+            Err(invalid)
+        );
+        let closed = frontend.run_closed_loop(&[NodeId::MAX], 1, Duration::from_secs(1));
+        assert!(matches!(
+            closed[..],
+            [Err(SubmitError::InvalidNode {
+                node: NodeId::MAX,
+                num_nodes: 50
+            })]
+        ));
+        assert_eq!(frontend.stats(), before);
+        assert_eq!(
+            invalid.to_string(),
+            "query node 50 out of range for graph with 50 nodes"
+        );
+        frontend.shutdown();
+    }
+
+    #[test]
     fn delayed_worker_turns_queued_requests_into_deadline_misses() {
         // The deterministic deadline scenario: a single worker is held for
         // 60 ms per request (synthetic delay), every request carries a
@@ -1510,15 +1554,6 @@ mod tests {
         let engine = SimPush::new(Config::new(0.05));
         let frontend = Frontend::start(&engine, store, options(1, 4).build());
         frontend.run_closed_loop(&[1], 0, Duration::from_secs(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn rejects_out_of_range_nodes_at_submission() {
-        let store = Arc::new(GraphStore::new(gen::gnm(10, 30, 1)));
-        let engine = SimPush::new(Config::new(0.05));
-        let frontend = Frontend::start(&engine, store, options(1, 4).build());
-        let _ = frontend.try_submit(10);
     }
 
     #[test]

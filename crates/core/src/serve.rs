@@ -180,9 +180,9 @@ pub fn serve_mixed(
     let next_query = AtomicUsize::new(0);
     let start = Instant::now();
 
-    let (update_records, mut indexed_queries) = crossbeam::scope(|scope| {
+    let (update_records, mut indexed_queries) = std::thread::scope(|scope| {
         // The writer: commit update batches, one publish per batch.
-        let writer = scope.spawn(|_| {
+        let writer = scope.spawn(|| {
             let mut records = Vec::with_capacity(updates.len() / opts.updates_per_batch + 1);
             for batch in updates.chunks(opts.updates_per_batch) {
                 let t = Instant::now();
@@ -201,7 +201,7 @@ pub fn serve_mixed(
         let mut readers = Vec::with_capacity(opts.reader_threads);
         for _ in 0..opts.reader_threads {
             let next_query = &next_query;
-            readers.push(scope.spawn(move |_| {
+            readers.push(scope.spawn(move || {
                 let mut ws = QueryWorkspace::new();
                 let mut mine = Vec::new();
                 loop {
@@ -235,8 +235,7 @@ pub fn serve_mixed(
             .flat_map(|h| h.join().expect("reader thread panicked"))
             .collect();
         (update_records, indexed)
-    })
-    .expect("serving scope panicked");
+    });
 
     let wall = start.elapsed();
     indexed_queries.sort_unstable_by_key(|&(i, _)| i);
@@ -421,7 +420,7 @@ pub fn serve_sharded<P: Partitioner + Clone + Sync>(
         .map(|b| store.route_batch(b))
         .collect();
 
-    let (shard_records, mut indexed_queries) = crossbeam::scope(|scope| {
+    let (shard_records, mut indexed_queries) = std::thread::scope(|scope| {
         // K shard writers in lockstep over the global batches.
         let mut writers = Vec::with_capacity(k);
         for shard in 0..k {
@@ -429,7 +428,7 @@ pub fn serve_sharded<P: Partitioner + Clone + Sync>(
             let batches = &batches;
             let effective = &effective;
             let update_wall_holder = &update_wall_holder;
-            writers.push(scope.spawn(move |_| {
+            writers.push(scope.spawn(move || {
                 let mut records = Vec::with_capacity(batches.len());
                 for (g, routed) in batches.iter().enumerate() {
                     let sub = &routed[shard];
@@ -470,7 +469,7 @@ pub fn serve_sharded<P: Partitioner + Clone + Sync>(
         let mut readers = Vec::with_capacity(opts.reader_threads);
         for _ in 0..opts.reader_threads {
             let next_query = &next_query;
-            readers.push(scope.spawn(move |_| {
+            readers.push(scope.spawn(move || {
                 let mut ws = QueryWorkspace::new();
                 let mut mine = Vec::new();
                 loop {
@@ -507,8 +506,7 @@ pub fn serve_sharded<P: Partitioner + Clone + Sync>(
             .flat_map(|h| h.join().expect("reader thread panicked"))
             .collect();
         (shard_records, indexed)
-    })
-    .expect("sharded serving scope panicked");
+    });
 
     let wall = start.elapsed();
     let update_wall = *update_wall_holder.lock().unwrap_or_else(|p| p.into_inner());

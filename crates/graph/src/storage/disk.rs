@@ -40,7 +40,9 @@ use std::sync::{Arc, OnceLock};
 use simrank_common::NodeId;
 
 use super::adaptor::{Adaptor, FsAdaptor, MemAdaptor, MmapAdaptor};
-use super::placement::{plan_placement, PlacementReport, SegmentId, TierCounters, TierStats};
+use super::placement::{
+    plan_placement, CounterStripe, PlacementReport, SegmentId, TierCounters, TierStats,
+};
 use super::Fnv64;
 use crate::csr::CsrGraph;
 use crate::io::IoError;
@@ -471,23 +473,20 @@ fn scan_elements(
 /// One offset array: fully pinned in RAM, or paged over the adaptor.
 #[derive(Debug)]
 enum OffsetSeg {
-    Pinned {
-        data: Box<[u64]>,
-        counters: Arc<TierCounters>,
-    },
+    Pinned(Box<[u64]>),
     Paged(PagedU64),
 }
 
 impl OffsetSeg {
-    fn get(&self, i: usize) -> Result<u64, IoError> {
+    fn get(&self, i: usize, c: &CounterStripe) -> Result<u64, IoError> {
         match self {
-            OffsetSeg::Pinned { data, counters } => {
-                TierCounters::bump(&counters.pinned_reads);
+            OffsetSeg::Pinned(data) => {
+                TierCounters::bump(&c.pinned_reads);
                 data.get(i)
                     .copied()
                     .ok_or_else(|| IoError::Format(format!("offset index {i} out of range")))
             }
-            OffsetSeg::Paged(p) => p.get(i),
+            OffsetSeg::Paged(p) => p.get(i, c),
         }
     }
 }
@@ -502,22 +501,22 @@ struct PagedU64 {
     len: u64,
     page_size: u64,
     pages: Vec<OnceLock<Box<[u64]>>>,
-    counters: Arc<TierCounters>,
 }
 
 impl PagedU64 {
-    fn page(&self, idx: usize) -> Result<&[u64], IoError> {
+    fn page(&self, idx: usize, c: &CounterStripe) -> Result<&[u64], IoError> {
         let slot = self
             .pages
             .get(idx)
             .ok_or_else(|| IoError::Format(format!("offset page {idx} out of range")))?;
+        let mut faulted = false;
         if slot.get().is_none() {
             let start = idx as u64 * self.page_size;
             let take = (self.len - start).min(self.page_size) as usize;
             let mut buf = vec![0u8; take];
             self.adaptor.read_at(self.file_offset + start, &mut buf)?;
-            TierCounters::bump(&self.counters.adaptor_reads);
-            TierCounters::add(&self.counters.adaptor_bytes, take as u64);
+            TierCounters::bump(&c.adaptor_reads);
+            TierCounters::add(&c.adaptor_bytes, take as u64);
             let mut vals = Vec::with_capacity(take / 8);
             for word in buf.chunks_exact(8) {
                 let mut a = [0u8; 8];
@@ -525,13 +524,16 @@ impl PagedU64 {
                 vals.push(u64::from_le_bytes(a));
             }
             // First thread to decode wins; a racing thread decoded the
-            // same immutable bytes, so the loser's copy is just dropped.
-            if slot.set(vals.into_boxed_slice()).is_ok() {
-                TierCounters::bump(&self.counters.page_faults);
-            }
-        } else {
-            TierCounters::bump(&self.counters.page_hits);
+            // same immutable bytes, so the loser's copy is just dropped
+            // and its read is served — and counted — as a hit on the
+            // winner's page. Each call is thus exactly one fault or hit.
+            faulted = slot.set(vals.into_boxed_slice()).is_ok();
         }
+        TierCounters::bump(if faulted {
+            &c.page_faults
+        } else {
+            &c.page_hits
+        });
         match slot.get() {
             Some(p) => Ok(p),
             // Unreachable: the slot was just filled above.
@@ -539,12 +541,12 @@ impl PagedU64 {
         }
     }
 
-    fn get(&self, i: usize) -> Result<u64, IoError> {
+    fn get(&self, i: usize, c: &CounterStripe) -> Result<u64, IoError> {
         let byte = i as u64 * 8;
         if byte + 8 > self.len {
             return Err(IoError::Format(format!("offset index {i} out of range")));
         }
-        let page = self.page((byte / self.page_size) as usize)?;
+        let page = self.page((byte / self.page_size) as usize, c)?;
         let within = ((byte % self.page_size) / 8) as usize;
         page.get(within)
             .copied()
@@ -556,23 +558,20 @@ impl PagedU64 {
 /// for lists that cross page boundaries.
 #[derive(Debug)]
 enum ElemSeg {
-    Pinned {
-        data: Box<[NodeId]>,
-        counters: Arc<TierCounters>,
-    },
+    Pinned(Box<[NodeId]>),
     Paged(PagedU32),
 }
 
 impl ElemSeg {
-    fn slice(&self, lo: u64, hi: u64) -> Result<&[NodeId], IoError> {
+    fn slice(&self, lo: u64, hi: u64, c: &CounterStripe) -> Result<&[NodeId], IoError> {
         match self {
-            ElemSeg::Pinned { data, counters } => {
-                TierCounters::bump(&counters.pinned_reads);
+            ElemSeg::Pinned(data) => {
+                TierCounters::bump(&c.pinned_reads);
                 data.get(lo as usize..hi as usize).ok_or_else(|| {
                     IoError::Format(format!("element range {lo}..{hi} out of range"))
                 })
             }
-            ElemSeg::Paged(p) => p.slice(lo, hi),
+            ElemSeg::Paged(p) => p.slice(lo, hi, c),
         }
     }
 }
@@ -589,31 +588,32 @@ struct PagedU32 {
     name: &'static str,
     pages: Vec<OnceLock<Box<[NodeId]>>>,
     spill: Box<[(u64, Box<[NodeId]>)]>,
-    counters: Arc<TierCounters>,
 }
 
 impl PagedU32 {
-    fn page(&self, idx: usize) -> Result<&[NodeId], IoError> {
+    fn page(&self, idx: usize, c: &CounterStripe) -> Result<&[NodeId], IoError> {
         let slot = self
             .pages
             .get(idx)
             .ok_or_else(|| IoError::Format(format!("element page {idx} out of range")))?;
+        let mut faulted = false;
         if slot.get().is_none() {
             let start = idx as u64 * self.page_size;
             let take = (self.len - start).min(self.page_size) as usize;
             let mut buf = vec![0u8; take];
             self.adaptor.read_at(self.file_offset + start, &mut buf)?;
-            TierCounters::bump(&self.counters.adaptor_reads);
-            TierCounters::add(&self.counters.adaptor_bytes, take as u64);
+            TierCounters::bump(&c.adaptor_reads);
+            TierCounters::add(&c.adaptor_bytes, take as u64);
             let mut vals = Vec::with_capacity(take / 4);
             decode_u32_checked(&buf, self.n, self.name, &mut vals)?;
             // First thread to decode wins (immutable bytes; see PagedU64).
-            if slot.set(vals.into_boxed_slice()).is_ok() {
-                TierCounters::bump(&self.counters.page_faults);
-            }
-        } else {
-            TierCounters::bump(&self.counters.page_hits);
+            faulted = slot.set(vals.into_boxed_slice()).is_ok();
         }
+        TierCounters::bump(if faulted {
+            &c.page_faults
+        } else {
+            &c.page_hits
+        });
         match slot.get() {
             Some(p) => Ok(p),
             // Unreachable: the slot was just filled above.
@@ -621,7 +621,7 @@ impl PagedU32 {
         }
     }
 
-    fn slice(&self, lo: u64, hi: u64) -> Result<&[NodeId], IoError> {
+    fn slice(&self, lo: u64, hi: u64, c: &CounterStripe) -> Result<&[NodeId], IoError> {
         if lo == hi {
             return Ok(&[]);
         }
@@ -636,7 +636,7 @@ impl PagedU32 {
         let p0 = lo_byte / self.page_size;
         let p1 = hi_byte / self.page_size;
         if p0 == p1 {
-            let page = self.page(p0 as usize)?;
+            let page = self.page(p0 as usize, c)?;
             let start = ((lo_byte % self.page_size) / 4) as usize;
             let want = (hi - lo) as usize;
             page.get(start..start + want).ok_or_else(|| {
@@ -646,7 +646,7 @@ impl PagedU32 {
                 ))
             })
         } else {
-            TierCounters::bump(&self.counters.spill_hits);
+            TierCounters::bump(&c.spill_hits);
             match self.spill.binary_search_by_key(&lo, |e| e.0) {
                 Ok(i) => Ok(&self.spill[i].1),
                 Err(_) => Err(IoError::Format(format!(
@@ -724,7 +724,10 @@ impl DiskGraphOptions {
 /// Neighbour resolution reads two offset words and one element range, each
 /// served from (in order of preference) a pinned segment, an
 /// already-faulted page, or the adaptor. All state mutated after open is
-/// behind [`OnceLock`]s and atomics, so a `DiskGraph` is `Send + Sync` and
+/// the write-once [`OnceLock`] page table and the tier counters, which
+/// are atomics striped per reader thread (so concurrent readers never
+/// contend on one counter cache line) and summed by
+/// [`stats`](Self::stats). A `DiskGraph` is therefore `Send + Sync` and
 /// shared freely across reader threads — queries against it are
 /// bit-identical to the same queries against the [`CsrGraph`] it was
 /// written from (pinned by `tests/prop_disk.rs`).
@@ -743,7 +746,8 @@ pub struct DiskGraph {
     out_targets: ElemSeg,
     in_offsets: OffsetSeg,
     in_sources: ElemSeg,
-    counters: Arc<TierCounters>,
+    // Boxed: the stripes are 2 KiB, kept out of `GraphBase`'s enum.
+    counters: Box<TierCounters>,
     placement: PlacementReport,
 }
 
@@ -818,7 +822,6 @@ impl DiskGraph {
             sb.segs[3].len,
         ];
         let placement = plan_placement(seg_bytes, &adaptor.profile(), ps, opts.budget_bytes);
-        let counters = Arc::new(TierCounters::default());
 
         // Offset segments: always streamed and validated in full.
         let out_scan = scan_offsets(
@@ -847,7 +850,6 @@ impl DiskGraph {
             placement.is_pinned(SegmentId::OutTargets),
             opts.verify,
             &out_scan.spans,
-            &counters,
         )?;
         let in_sources = Self::build_elem_seg(
             &adaptor,
@@ -858,11 +860,10 @@ impl DiskGraph {
             placement.is_pinned(SegmentId::InSources),
             opts.verify,
             &in_scan.spans,
-            &counters,
         )?;
 
-        let out_offsets = Self::build_offset_seg(&adaptor, &sb.segs[0], ps, out_scan, &counters);
-        let in_offsets = Self::build_offset_seg(&adaptor, &sb.segs[2], ps, in_scan, &counters);
+        let out_offsets = Self::build_offset_seg(&adaptor, &sb.segs[0], ps, out_scan);
+        let in_offsets = Self::build_offset_seg(&adaptor, &sb.segs[2], ps, in_scan);
 
         Ok(Self {
             adaptor,
@@ -873,7 +874,7 @@ impl DiskGraph {
             out_targets,
             in_offsets,
             in_sources,
-            counters,
+            counters: Box::default(),
             placement,
         })
     }
@@ -883,20 +884,15 @@ impl DiskGraph {
         seg: &SegmentDesc,
         ps: u64,
         scan: OffsetScan,
-        counters: &Arc<TierCounters>,
     ) -> OffsetSeg {
         match scan.values {
-            Some(vals) => OffsetSeg::Pinned {
-                data: vals.into_boxed_slice(),
-                counters: counters.clone(),
-            },
+            Some(vals) => OffsetSeg::Pinned(vals.into_boxed_slice()),
             None => OffsetSeg::Paged(PagedU64 {
                 adaptor: adaptor.clone(),
                 file_offset: seg.offset,
                 len: seg.len,
                 page_size: ps,
                 pages: (0..seg.len.div_ceil(ps)).map(|_| OnceLock::new()).collect(),
-                counters: counters.clone(),
             }),
         }
     }
@@ -911,16 +907,12 @@ impl DiskGraph {
         pin: bool,
         verify: bool,
         spans: &[(u64, u64)],
-        counters: &Arc<TierCounters>,
     ) -> Result<ElemSeg, IoError> {
         let name = id.name();
         if pin {
             let values = scan_elements(&**adaptor, seg, name, n, true)?;
             let data = values.unwrap_or_default().into_boxed_slice();
-            return Ok(ElemSeg::Pinned {
-                data,
-                counters: counters.clone(),
-            });
+            return Ok(ElemSeg::Pinned(data));
         }
         if verify {
             scan_elements(&**adaptor, seg, name, n, false)?;
@@ -948,7 +940,6 @@ impl DiskGraph {
             name,
             pages: (0..seg.len.div_ceil(ps)).map(|_| OnceLock::new()).collect(),
             spill: spill.into_boxed_slice(),
-            counters: counters.clone(),
         }))
     }
 
@@ -961,9 +952,10 @@ impl DiskGraph {
                 self.n
             )));
         }
-        let lo = self.out_offsets.get(vi)?;
-        let hi = self.out_offsets.get(vi + 1)?;
-        self.out_targets.slice(lo, hi)
+        let c = self.counters.local();
+        let lo = self.out_offsets.get(vi, c)?;
+        let hi = self.out_offsets.get(vi + 1, c)?;
+        self.out_targets.slice(lo, hi, c)
     }
 
     /// In-neighbours of `v`, with storage faults surfaced as errors.
@@ -975,9 +967,10 @@ impl DiskGraph {
                 self.n
             )));
         }
-        let lo = self.in_offsets.get(vi)?;
-        let hi = self.in_offsets.get(vi + 1)?;
-        self.in_sources.slice(lo, hi)
+        let c = self.counters.local();
+        let lo = self.in_offsets.get(vi, c)?;
+        let hi = self.in_offsets.get(vi + 1, c)?;
+        self.in_sources.slice(lo, hi, c)
     }
 
     /// The page size of the underlying file, in bytes.
@@ -1001,7 +994,9 @@ impl DiskGraph {
         &self.placement
     }
 
-    /// Point-in-time tier counters (query-path activity since open).
+    /// Point-in-time tier counters (query-path activity since open),
+    /// summed over the per-thread stripes: exact once readers are
+    /// quiescent, approximate while reads are in flight.
     pub fn stats(&self) -> TierStats {
         self.counters.snapshot()
     }
@@ -1189,6 +1184,69 @@ mod tests {
         let dg = DiskGraph::open_mem(&path, DiskGraphOptions::disk_resident()).unwrap();
         assert_eq!(dg.out_neighbors(0), g.out_neighbors(0));
         assert!(dg.stats().spill_hits > 0, "{:?}", dg.stats());
+    }
+
+    #[test]
+    fn striped_counters_sum_exactly_across_threads() {
+        use super::super::placement::STRIPES;
+        use std::collections::BTreeSet;
+        use std::sync::Barrier;
+
+        let g = test_graph();
+        let path = write_test_file("stripes.srgd", &g, 256);
+        // Offsets pinned, elements paged: every counter but the adaptor
+        // ones is exercised by one sweep.
+        let opts = DiskGraphOptions::with_budget((g.num_nodes() as u64 + 1) * 8 * 2);
+        let sweep = |dg: &DiskGraph| {
+            for v in 0..dg.num_nodes() as NodeId {
+                dg.try_out_neighbors(v).unwrap();
+                dg.try_in_neighbors(v).unwrap();
+            }
+        };
+        let one = DiskGraph::open_mem(&path, opts).unwrap();
+        sweep(&one);
+        let one = one.stats();
+        assert!(one.pinned_reads > 0 && one.spill_hits > 0, "{one:?}");
+
+        // The distinct element pages a sweep touches: those of every
+        // non-empty list that fits in one 256-byte page.
+        let pages_of = |list: &dyn Fn(NodeId) -> usize| {
+            let mut touched = BTreeSet::new();
+            let mut lo = 0u64;
+            for v in 0..g.num_nodes() as NodeId {
+                let hi = lo + list(v) as u64;
+                if lo < hi && lo * 4 / 256 == (hi * 4 - 1) / 256 {
+                    touched.insert(lo * 4 / 256);
+                }
+                lo = hi;
+            }
+            touched.len() as u64
+        };
+        let pages =
+            pages_of(&|v| g.out_neighbors(v).len()) + pages_of(&|v| g.in_neighbors(v).len());
+        assert_eq!(one.page_faults, pages, "{one:?}");
+
+        // STRIPES + 1 threads: at least two share a stripe.
+        let threads = STRIPES as u64 + 1;
+        let dg = DiskGraph::open_mem(&path, opts).unwrap();
+        let barrier = Barrier::new(threads as usize);
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    barrier.wait();
+                    sweep(&dg);
+                });
+            }
+        });
+        let all = dg.stats();
+        assert_eq!(all.pinned_reads, threads * one.pinned_reads, "{all:?}");
+        assert_eq!(
+            all.page_hits + all.page_faults,
+            threads * (one.page_hits + one.page_faults),
+            "{all:?}"
+        );
+        assert_eq!(all.spill_hits, threads * one.spill_hits, "{all:?}");
+        assert_eq!(all.page_faults, pages, "fills are deduplicated: {all:?}");
     }
 
     #[test]

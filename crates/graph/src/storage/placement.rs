@@ -12,7 +12,7 @@
 //! are both small and high-benefit — in practice they always pin first,
 //! which is exactly the intuitive layout (index in RAM, data on disk).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use super::adaptor::AffineStorageProfile;
 
@@ -160,12 +160,16 @@ pub fn plan_placement(
     }
 }
 
-/// Shared atomic counters behind a [`DiskGraph`](super::DiskGraph)'s read
-/// path. All increments and loads are relaxed: these are advisory
-/// observability counters — nothing synchronises on them, and a snapshot
-/// taken during concurrent reads is allowed to be approximate.
+/// How many counter stripes a [`TierCounters`] holds. Threads past this
+/// many share stripes round-robin, which costs throughput (the shared
+/// line bounces again) but never correctness.
+pub(crate) const STRIPES: usize = 16;
+
+/// One stripe of tier counters, aligned to 128 bytes so no two stripes
+/// share a cache line — or the adjacent line some CPUs prefetch in pairs.
 #[derive(Debug, Default)]
-pub(crate) struct TierCounters {
+#[repr(align(128))]
+pub(crate) struct CounterStripe {
     pub(crate) pinned_reads: AtomicU64,
     pub(crate) page_hits: AtomicU64,
     pub(crate) page_faults: AtomicU64,
@@ -174,7 +178,39 @@ pub(crate) struct TierCounters {
     pub(crate) adaptor_bytes: AtomicU64,
 }
 
+/// The atomic counters behind a [`DiskGraph`](super::DiskGraph)'s read
+/// path, striped per thread: each reader thread bumps only its own
+/// [`CounterStripe`] (picked once per thread by a round-robin ticket), so
+/// concurrent readers do not pass one cache line back and forth, and
+/// [`snapshot`](Self::snapshot) sums the stripes.
+///
+/// All increments and loads are relaxed: these are advisory observability
+/// counters — nothing synchronises on them. Every increment lands in
+/// exactly one stripe, so a snapshot is exact once readers are quiescent;
+/// one taken during concurrent reads is allowed to be approximate.
+#[derive(Debug, Default)]
+pub(crate) struct TierCounters {
+    stripes: [CounterStripe; STRIPES],
+}
+
+/// The calling thread's stripe index, fixed at its first call.
+fn stripe_index() -> usize {
+    static NEXT_TICKET: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        // relaxed: the ticket only spreads threads over stripes — any
+        // value is correct, and no other memory depends on it.
+        static STRIPE: usize = NEXT_TICKET.fetch_add(1, Ordering::Relaxed) % STRIPES;
+    }
+    STRIPE.with(|s| *s)
+}
+
 impl TierCounters {
+    /// The calling thread's stripe.
+    #[inline]
+    pub(crate) fn local(&self) -> &CounterStripe {
+        &self.stripes[stripe_index()]
+    }
+
     #[inline]
     pub(crate) fn bump(counter: &AtomicU64) {
         // relaxed: advisory observability counter — no ordering, nothing
@@ -188,17 +224,20 @@ impl TierCounters {
         counter.fetch_add(v, Ordering::Relaxed);
     }
 
+    /// Sums the stripes.
     pub(crate) fn snapshot(&self) -> TierStats {
-        // relaxed: the six loads need not be mutually consistent; stats
+        // relaxed: the loads need not be mutually consistent; stats
         // sampled mid-read are documented as approximate.
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let sum =
+            |f: fn(&CounterStripe) -> &AtomicU64| self.stripes.iter().map(|s| load(f(s))).sum();
         TierStats {
-            pinned_reads: load(&self.pinned_reads),
-            page_hits: load(&self.page_hits),
-            page_faults: load(&self.page_faults),
-            spill_hits: load(&self.spill_hits),
-            adaptor_reads: load(&self.adaptor_reads),
-            adaptor_bytes: load(&self.adaptor_bytes),
+            pinned_reads: sum(|s| &s.pinned_reads),
+            page_hits: sum(|s| &s.page_hits),
+            page_faults: sum(|s| &s.page_faults),
+            spill_hits: sum(|s| &s.spill_hits),
+            adaptor_reads: sum(|s| &s.adaptor_reads),
+            adaptor_bytes: sum(|s| &s.adaptor_bytes),
         }
     }
 }
@@ -212,16 +251,18 @@ impl TierCounters {
 pub struct TierStats {
     /// Reads answered from a pinned (RAM-resident) segment.
     pub pinned_reads: u64,
-    /// Reads answered from an already-faulted cached page.
+    /// Reads answered from an already-faulted cached page — including a
+    /// read whose own fill lost the race to another thread's.
     pub page_hits: u64,
     /// Pages decoded from the adaptor on first touch.
     pub page_faults: u64,
     /// Neighbour lists answered from the spill table (lists spanning a
     /// page boundary, materialised at open).
     pub spill_hits: u64,
-    /// `read_at` calls issued to the adaptor by page faults.
+    /// `read_at` calls issued to the adaptor to fill pages (a lost fill
+    /// race still counts its read).
     pub adaptor_reads: u64,
-    /// Bytes requested from the adaptor by page faults.
+    /// Bytes requested from the adaptor by those reads.
     pub adaptor_bytes: u64,
 }
 
@@ -356,11 +397,15 @@ mod tests {
     #[test]
     fn counters_snapshot_round_trips() {
         let c = TierCounters::default();
-        TierCounters::bump(&c.page_faults);
-        TierCounters::bump(&c.page_faults);
-        TierCounters::add(&c.adaptor_bytes, 4096);
+        TierCounters::bump(&c.local().page_faults);
+        TierCounters::bump(&c.local().page_faults);
+        TierCounters::add(&c.local().adaptor_bytes, 4096);
+        // Another thread's bump lands in its own stripe; the sum sees it.
+        std::thread::scope(|scope| {
+            scope.spawn(|| TierCounters::bump(&c.local().page_faults));
+        });
         let s = c.snapshot();
-        assert_eq!(s.page_faults, 2);
+        assert_eq!(s.page_faults, 3);
         assert_eq!(s.adaptor_bytes, 4096);
         assert_eq!(s.pinned_reads, 0);
     }
