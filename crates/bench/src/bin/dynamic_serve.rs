@@ -6,8 +6,8 @@
 //! comparable across PRs:
 //!
 //! 1. **store_batched** — the intended regime: a [`GraphStore`] writer
-//!    commits updates in batches while 4 reader threads answer queries on
-//!    epoch snapshots ([`serve_mixed`]).
+//!    thread commits updates in batches while a 4-worker [`Frontend`]
+//!    answers the queries closed-loop on epoch snapshots.
 //! 2. **store_publish_per_update** — same store, but one publish per
 //!    update: what snapshot-per-update costs when the snapshot is still a
 //!    cheap overlay clone.
@@ -21,11 +21,13 @@
 //! `--smoke` shrinks everything to CI scale (tiny graph, one round) so the
 //! serving path and this emitter cannot silently rot.
 
-use simpush::{serve_mixed, Config, QueryWorkspace, ServeOptions, ServeReport, SimPush};
-use simrank_eval::mixed::mixed_workload;
+use simpush::{Config, Frontend, FrontendOptions, QueryOutcome, QueryWorkspace, SimPush};
+use simrank_common::stats::LatencySummary;
+use simrank_eval::mixed::{mixed_workload, MixedWorkload};
 use simrank_graph::{gen, CsrGraph, GraphStore, GraphUpdate, GraphView, MutableGraph};
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 struct Scale {
     nodes: usize,
@@ -64,55 +66,103 @@ const REMOVE_FRACTION: f64 = 0.3;
 const EPSILON: f64 = 0.02;
 const READER_THREADS: usize = 4;
 
-fn ns(d: std::time::Duration) -> u128 {
+fn ns(d: Duration) -> u128 {
     d.as_nanos()
 }
 
-fn serve_section(json: &mut String, name: &str, batch: usize, report: &ServeReport, last: bool) {
-    let total_updates: usize = report.updates.iter().map(|u| u.applied).sum();
+/// Serves `workload` on a fresh store and writes its JSON section: a
+/// scoped writer thread commits the updates in batches of `batch` while a
+/// [`Frontend`] with [`READER_THREADS`] workers drains the queries
+/// closed-loop. Query latency is each answer's service time (snapshot
+/// acquire + query). Exits non-zero unless every query is answered and
+/// the store converges to the sequential replay.
+fn serve_section(
+    json: &mut String,
+    name: &str,
+    engine: &SimPush,
+    base: &CsrGraph,
+    workload: &MixedWorkload,
+    batch: usize,
+    compact_threshold: usize,
+) {
+    let store = Arc::new(GraphStore::with_compaction_threshold(
+        base.clone(),
+        compact_threshold,
+    ));
+    let frontend = Frontend::start(
+        engine,
+        store.clone(),
+        FrontendOptions::builder()
+            .workers(READER_THREADS)
+            .queue_capacity(READER_THREADS)
+            .default_deadline(None)
+            .build(),
+    );
+    let mut commits: Vec<(usize, Duration)> = Vec::new();
+    let start = Instant::now();
+    let outcomes = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for chunk in workload.updates.chunks(batch) {
+                let t = Instant::now();
+                let (applied, _) = store.commit(chunk);
+                commits.push((applied, t.elapsed()));
+            }
+        });
+        frontend.run_closed_loop(&workload.queries, READER_THREADS, Duration::from_secs(60))
+    });
+    let wall = start.elapsed();
+    frontend.shutdown();
+    let service: Vec<Duration> = outcomes
+        .into_iter()
+        .map(|outcome| match outcome {
+            Ok(QueryOutcome::Answered(r)) => r.service,
+            other => {
+                eprintln!("[dynamic_serve] {name}: query not answered: {other:?}");
+                std::process::exit(1);
+            }
+        })
+        .collect();
+    assert_eq!(
+        store.snapshot().to_csr(),
+        workload.final_graph(base),
+        "{name}: store diverged from sequential replay"
+    );
+    let queries = LatencySummary::from_samples(service.iter().copied());
+    let effective_updates: usize = commits.iter().map(|&(applied, _)| applied).sum();
+    let avg_update = LatencySummary::from_samples(commits.iter().map(|&(_, t)| t)).mean();
     writeln!(json, "  \"{name}\": {{").unwrap();
     writeln!(json, "    \"updates_per_batch\": {batch},").unwrap();
-    writeln!(json, "    \"effective_updates\": {total_updates},").unwrap();
-    writeln!(
-        json,
-        "    \"avg_update_batch_ns\": {},",
-        ns(report.avg_update_latency())
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"avg_query_ns\": {},",
-        ns(report.avg_query_latency())
-    )
-    .unwrap();
+    writeln!(json, "    \"effective_updates\": {effective_updates},").unwrap();
+    writeln!(json, "    \"avg_update_batch_ns\": {},", ns(avg_update)).unwrap();
+    writeln!(json, "    \"avg_query_ns\": {},", ns(queries.mean())).unwrap();
     writeln!(
         json,
         "    \"p95_query_ns\": {},",
-        ns(report.p95_query_latency())
+        ns(queries.p95().unwrap_or_default())
     )
     .unwrap();
     writeln!(
         json,
         "    \"p99_query_ns\": {},",
-        ns(report.p99_query_latency())
+        ns(queries.p99().unwrap_or_default())
     )
     .unwrap();
     writeln!(
         json,
         "    \"queries_per_sec\": {:.1},",
-        report.queries_per_sec()
+        service.len() as f64 / wall.as_secs_f64()
     )
     .unwrap();
-    writeln!(json, "    \"epochs_published\": {},", report.final_epoch).unwrap();
-    writeln!(json, "    \"compactions\": {},", report.compactions).unwrap();
+    writeln!(json, "    \"epochs_published\": {},", store.epoch()).unwrap();
+    writeln!(json, "    \"compactions\": {},", store.compactions()).unwrap();
     writeln!(
         json,
         "    \"compaction_total_ns\": {},",
-        ns(report.compaction_time)
+        ns(store.compaction_time())
     )
     .unwrap();
-    writeln!(json, "    \"wall_ns\": {}", ns(report.wall)).unwrap();
-    writeln!(json, "  }}{}", if last { "" } else { "," }).unwrap();
+    writeln!(json, "    \"wall_ns\": {}", ns(wall)).unwrap();
+    writeln!(json, "  }},").unwrap();
 }
 
 /// The index-style baseline: apply each update to a [`MutableGraph`] and
@@ -125,7 +175,7 @@ fn csr_rebuild_per_update(
     queries: &[u32],
 ) -> (u128, u128) {
     let mut live = MutableGraph::from_csr(base);
-    let mut rebuild_total = std::time::Duration::ZERO;
+    let mut rebuild_total = Duration::ZERO;
     let mut last = base.clone();
     for &u in updates {
         match u {
@@ -178,44 +228,6 @@ fn main() {
         if smoke { " (smoke)" } else { "" }
     );
 
-    // Regime 1: batched commits, concurrent readers.
-    let store = GraphStore::with_compaction_threshold(base.clone(), scale.compact_threshold);
-    let batched = serve_mixed(
-        &engine,
-        &store,
-        &workload.queries,
-        &workload.updates,
-        &ServeOptions {
-            reader_threads: READER_THREADS,
-            updates_per_batch: scale.updates_per_batch,
-            top_k: 1,
-        },
-    );
-    // Sanity: the served store must have converged to the replayed graph.
-    assert_eq!(
-        store.snapshot().to_csr(),
-        workload.final_graph(&base),
-        "store diverged from sequential replay"
-    );
-
-    // Regime 2: one publish per update (overlay snapshot per update).
-    let store1 = GraphStore::with_compaction_threshold(base.clone(), scale.compact_threshold);
-    let per_update = serve_mixed(
-        &engine,
-        &store1,
-        &workload.queries,
-        &workload.updates,
-        &ServeOptions {
-            reader_threads: READER_THREADS,
-            updates_per_batch: 1,
-            top_k: 1,
-        },
-    );
-
-    // Regime 3: the full-rebuild strawman.
-    let (rebuild_ns, rebuild_query_ns) =
-        csr_rebuild_per_update(&base, &engine, &workload.updates, &workload.queries);
-
     let mut json = String::new();
     // Hand-rolled JSON: the workspace intentionally has no serde.
     writeln!(json, "{{").unwrap();
@@ -241,14 +253,29 @@ fn main() {
         scale.compact_threshold
     )
     .unwrap();
+    // Regime 1: batched commits beside the front-end.
     serve_section(
         &mut json,
         "store_batched",
+        &engine,
+        &base,
+        &workload,
         scale.updates_per_batch,
-        &batched,
-        false,
+        scale.compact_threshold,
     );
-    serve_section(&mut json, "store_publish_per_update", 1, &per_update, false);
+    // Regime 2: one publish per update (overlay snapshot per update).
+    serve_section(
+        &mut json,
+        "store_publish_per_update",
+        &engine,
+        &base,
+        &workload,
+        1,
+        scale.compact_threshold,
+    );
+    // Regime 3: the full-rebuild strawman.
+    let (rebuild_ns, rebuild_query_ns) =
+        csr_rebuild_per_update(&base, &engine, &workload.updates, &workload.queries);
     writeln!(json, "  \"csr_rebuild_per_update\": {{").unwrap();
     writeln!(json, "    \"avg_rebuild_ns\": {rebuild_ns},").unwrap();
     writeln!(json, "    \"avg_query_ns\": {rebuild_query_ns}").unwrap();

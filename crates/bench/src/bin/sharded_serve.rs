@@ -23,9 +23,16 @@
 //!   parallel (on multi-core hosts), and per-shard compaction domains
 //!   shrink — a shard rebuild is `O(n + m_k)` instead of `O(n + m)` — so
 //!   the sweep shows gains even on a single core.
-//! * `baseline_unsharded` runs the plain `GraphStore` + `serve_mixed`
-//!   path on the same workload: K = 1 sharding should cost ≈ nothing over
-//!   it (the routing tax), which keeps the sweep honest.
+//! * Every run serves the queries through a [`Frontend`] with
+//!   [`READER_THREADS`] workers, driven closed-loop, while one scoped
+//!   writer thread commits the stream beside it. For a sharded store that
+//!   writer is [`ShardedStore::commit_lockstep`], which runs the K shard
+//!   writers and the barrier cut protocol. Query latency is each answer's
+//!   service time (snapshot acquire + query); any query left unanswered
+//!   exits non-zero.
+//! * `baseline_unsharded` runs a plain `GraphStore` writer on the same
+//!   workload: K = 1 sharding should cost ≈ nothing over it (the routing
+//!   tax), which keeps the sweep honest.
 //! * `cross_traffic_tax` re-runs K = 4 with a
 //!   [`HashPartitioner`], under which the
 //!   same stream is mostly cross-shard and every cross update is mirrored
@@ -38,16 +45,16 @@
 //! `--smoke` shrinks everything to CI scale (tiny graph, same K sweep) so
 //! the sharded serving path and this emitter cannot silently rot.
 
-use simpush::{
-    serve_mixed, serve_sharded, Config, ServeOptions, ShardedServeOptions, ShardedServeReport,
-    SimPush,
-};
-use simrank_eval::mixed::sharded_workload;
+use simpush::{Config, Frontend, FrontendOptions, QueryOutcome, SimPush, SnapshotSource};
+use simrank_common::stats::LatencySummary;
+use simrank_eval::mixed::{sharded_workload, MixedWorkload};
 use simrank_graph::{
-    gen, GraphStore, GraphView, HashPartitioner, Partitioner, RangePartitioner, ShardedStore,
+    gen, CsrGraph, GraphStore, GraphView, HashPartitioner, Partitioner, RangePartitioner,
+    ShardCommit, ShardedStore,
 };
 use std::fmt::Write as _;
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 struct Scale {
     nodes: usize,
@@ -97,66 +104,159 @@ fn ns(d: Duration) -> u128 {
     d.as_nanos()
 }
 
-fn sweep_entry(json: &mut String, k: usize, report: &ShardedServeReport, last: bool) {
+/// One served run: the query service-time distribution and the wall
+/// clock from the first query to the last answer (writer included).
+struct Served {
+    queries: LatencySummary,
+    wall: Duration,
+}
+
+impl Served {
+    fn queries_per_sec(&self) -> f64 {
+        self.queries.count() as f64 / self.wall.as_secs_f64()
+    }
+}
+
+/// Answers `queries` through a [`Frontend`] over `store` while `write`
+/// commits the update stream on a scoped thread beside it. Exits non-zero
+/// unless every query is answered.
+fn serve_beside<S: SnapshotSource>(
+    engine: &SimPush,
+    store: &Arc<S>,
+    queries: &[u32],
+    write: impl FnOnce() + Send,
+) -> Served {
+    let frontend = Frontend::start(
+        engine,
+        store.clone(),
+        FrontendOptions::builder()
+            .workers(READER_THREADS)
+            .queue_capacity(READER_THREADS)
+            .default_deadline(None)
+            .build(),
+    );
+    let start = Instant::now();
+    let outcomes = std::thread::scope(|scope| {
+        scope.spawn(write);
+        frontend.run_closed_loop(queries, READER_THREADS, Duration::from_secs(60))
+    });
+    let wall = start.elapsed();
+    frontend.shutdown();
+    let service = outcomes.into_iter().map(|outcome| match outcome {
+        Ok(QueryOutcome::Answered(r)) => r.service,
+        other => {
+            eprintln!("[sharded_serve] query not answered: {other:?}");
+            std::process::exit(1);
+        }
+    });
+    Served {
+        queries: LatencySummary::from_samples(service),
+        wall,
+    }
+}
+
+/// One run of the K shard writers in lockstep beside the front-end.
+struct Lockstep {
+    served: Served,
+    commits: Vec<ShardCommit>,
+    /// Time the lockstep commit took, routing included.
+    update_wall: Duration,
+    cuts: u64,
+    compactions: u64,
+    compaction_time: Duration,
+}
+
+impl Lockstep {
+    /// Serves `workload` on `store`, committing the stream through
+    /// [`ShardedStore::commit_lockstep`]; exits non-zero if the final cut
+    /// is not the sequential replay.
+    fn run<P: Partitioner + Clone + Send + Sync + 'static>(
+        engine: &SimPush,
+        store: ShardedStore<P>,
+        workload: &MixedWorkload,
+        batch: usize,
+        expected_final: &CsrGraph,
+    ) -> Self {
+        let store = Arc::new(store);
+        let mut commits = Vec::new();
+        let mut update_wall = Duration::ZERO;
+        let served = serve_beside(engine, &store, &workload.queries, || {
+            let t = Instant::now();
+            commits = store.commit_lockstep(&workload.updates, batch);
+            update_wall = t.elapsed();
+        });
+        assert_eq!(
+            &store.snapshot().to_csr(),
+            expected_final,
+            "K={} sharded store diverged from sequential replay",
+            store.num_shards()
+        );
+        Self {
+            served,
+            commits,
+            update_wall,
+            cuts: store.cut(),
+            compactions: store.compactions(),
+            compaction_time: store.compaction_time(),
+        }
+    }
+
+    fn effective_updates(&self) -> usize {
+        self.commits.iter().map(|c| c.applied).sum()
+    }
+
+    fn updates_per_sec(&self) -> f64 {
+        self.effective_updates() as f64 / self.update_wall.as_secs_f64()
+    }
+}
+
+fn sweep_entry(json: &mut String, k: usize, run: &Lockstep, last: bool) {
+    let queries = &run.served.queries;
     writeln!(json, "    {{").unwrap();
     writeln!(json, "      \"k\": {k},").unwrap();
     writeln!(
         json,
         "      \"effective_updates\": {},",
-        report.effective_updates
+        run.effective_updates()
     )
     .unwrap();
-    writeln!(
-        json,
-        "      \"update_wall_ns\": {},",
-        ns(report.update_wall)
-    )
-    .unwrap();
+    writeln!(json, "      \"update_wall_ns\": {},", ns(run.update_wall)).unwrap();
     writeln!(
         json,
         "      \"updates_per_sec\": {:.1},",
-        report.updates_per_sec()
+        run.updates_per_sec()
     )
     .unwrap();
-    writeln!(
-        json,
-        "      \"avg_query_ns\": {},",
-        ns(report.avg_query_latency())
-    )
-    .unwrap();
+    writeln!(json, "      \"avg_query_ns\": {},", ns(queries.mean())).unwrap();
     writeln!(
         json,
         "      \"p95_query_ns\": {},",
-        ns(report.p95_query_latency())
+        ns(queries.p95().unwrap_or_default())
     )
     .unwrap();
     writeln!(
         json,
         "      \"p99_query_ns\": {},",
-        ns(report.p99_query_latency())
+        ns(queries.p99().unwrap_or_default())
     )
     .unwrap();
     writeln!(
         json,
         "      \"queries_per_sec\": {:.1},",
-        report.queries_per_sec()
+        run.served.queries_per_sec()
     )
     .unwrap();
-    writeln!(json, "      \"cuts\": {},", report.final_cut).unwrap();
-    writeln!(json, "      \"compactions\": {},", report.compactions).unwrap();
+    writeln!(json, "      \"cuts\": {},", run.cuts).unwrap();
+    writeln!(json, "      \"compactions\": {},", run.compactions).unwrap();
     writeln!(
         json,
         "      \"compaction_total_ns\": {},",
-        ns(report.compaction_time)
+        ns(run.compaction_time)
     )
     .unwrap();
-    writeln!(
-        json,
-        "      \"avg_shard_commit_ns\": {},",
-        ns(report.avg_shard_commit_latency())
-    )
-    .unwrap();
-    writeln!(json, "      \"wall_ns\": {}", ns(report.wall)).unwrap();
+    let avg_commit = LatencySummary::from_samples(run.commits.iter().map(|c| c.latency)).mean();
+    writeln!(json, "      \"avg_shard_commit_ns\": {},", ns(avg_commit)).unwrap();
+    writeln!(json, "      \"wall_ns\": {}", ns(run.served.wall)).unwrap();
     writeln!(json, "    }}{}", if last { "" } else { "," }).unwrap();
 }
 
@@ -208,52 +308,47 @@ fn main() {
     );
 
     // Reference: the unsharded single-writer GraphStore path.
-    let single = GraphStore::with_compaction_threshold(base.clone(), scale.compact_threshold);
-    let unsharded = serve_mixed(
-        &engine,
-        &single,
-        &workload.queries,
-        &workload.updates,
-        &ServeOptions {
-            reader_threads: READER_THREADS,
-            updates_per_batch: scale.updates_per_batch,
-            top_k: 1,
-        },
-    );
+    let single = Arc::new(GraphStore::with_compaction_threshold(
+        base.clone(),
+        scale.compact_threshold,
+    ));
+    let mut unsharded_update_time = Duration::ZERO;
+    let mut unsharded_effective = 0usize;
+    let unsharded = serve_beside(&engine, &single, &workload.queries, || {
+        for chunk in workload.updates.chunks(scale.updates_per_batch) {
+            let t = Instant::now();
+            unsharded_effective += single.commit(chunk).0;
+            unsharded_update_time += t.elapsed();
+        }
+    });
     assert_eq!(
         single.snapshot().to_csr(),
         expected_final,
         "unsharded store diverged from sequential replay"
     );
-    let unsharded_update_time: Duration = unsharded.updates.iter().map(|u| u.latency).sum();
-    let unsharded_effective: usize = unsharded.updates.iter().map(|u| u.applied).sum();
 
     // The K sweep, one identical workload per point.
-    let opts = ShardedServeOptions {
-        reader_threads: READER_THREADS,
-        updates_per_batch: scale.updates_per_batch,
-        top_k: 1,
-    };
-    let mut sweep: Vec<(usize, ShardedServeReport)> = Vec::new();
+    let mut sweep: Vec<(usize, Lockstep)> = Vec::new();
     for k in SWEEP_KS {
         let store = ShardedStore::with_compaction_threshold(
             &base,
             RangePartitioner::new(scale.nodes, k),
             scale.compact_threshold,
         );
-        let report = serve_sharded(&engine, &store, &workload.queries, &workload.updates, &opts);
-        assert_eq!(
-            store.snapshot().to_csr(),
-            expected_final,
-            "K={k} sharded store diverged from sequential replay"
+        let run = Lockstep::run(
+            &engine,
+            store,
+            &workload,
+            scale.updates_per_batch,
+            &expected_final,
         );
         eprintln!(
             "[sharded_serve] K={k}: {:.0} updates/s, avg query {:?}, {} compactions",
-            report.updates_per_sec(),
-            report.avg_query_latency(),
-            report.compactions
+            run.updates_per_sec(),
+            run.served.queries.mean(),
+            run.compactions
         );
-        sweep.push((k, report));
+        sweep.push((k, run));
     }
 
     // The anti-pattern: a locality-blind hash partitioner turns the same
@@ -264,17 +359,12 @@ fn main() {
         HashPartitioner::new(hash_k),
         scale.compact_threshold,
     );
-    let hashed = serve_sharded(
+    let hashed = Lockstep::run(
         &engine,
-        &hash_store,
-        &workload.queries,
-        &workload.updates,
-        &opts,
-    );
-    assert_eq!(
-        hash_store.snapshot().to_csr(),
-        expected_final,
-        "hash-partitioned store diverged from sequential replay"
+        hash_store,
+        &workload,
+        scale.updates_per_batch,
+        &expected_final,
     );
     let hash_p = HashPartitioner::new(hash_k);
     let cross_updates = workload
@@ -340,28 +430,28 @@ fn main() {
     writeln!(
         json,
         "    \"avg_query_ns\": {},",
-        ns(unsharded.avg_query_latency())
+        ns(unsharded.queries.mean())
     )
     .unwrap();
     writeln!(
         json,
         "    \"p95_query_ns\": {},",
-        ns(unsharded.p95_query_latency())
+        ns(unsharded.queries.p95().unwrap_or_default())
     )
     .unwrap();
     writeln!(
         json,
         "    \"p99_query_ns\": {},",
-        ns(unsharded.p99_query_latency())
+        ns(unsharded.queries.p99().unwrap_or_default())
     )
     .unwrap();
-    writeln!(json, "    \"compactions\": {},", unsharded.compactions).unwrap();
+    writeln!(json, "    \"compactions\": {},", single.compactions()).unwrap();
     writeln!(json, "    \"wall_ns\": {}", ns(unsharded.wall)).unwrap();
     writeln!(json, "  }},").unwrap();
     writeln!(json, "  \"sweep\": [").unwrap();
     let count = sweep.len();
-    for (i, (k, report)) in sweep.iter().enumerate() {
-        sweep_entry(&mut json, *k, report, i + 1 == count);
+    for (i, (k, run)) in sweep.iter().enumerate() {
+        sweep_entry(&mut json, *k, run, i + 1 == count);
     }
     writeln!(json, "  ],").unwrap();
     writeln!(json, "  \"cross_traffic_tax\": {{").unwrap();
@@ -377,7 +467,7 @@ fn main() {
     writeln!(
         json,
         "    \"avg_query_ns\": {},",
-        ns(hashed.avg_query_latency())
+        ns(hashed.served.queries.mean())
     )
     .unwrap();
     writeln!(json, "    \"compactions\": {}", hashed.compactions).unwrap();

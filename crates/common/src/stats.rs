@@ -1,9 +1,9 @@
 //! Small latency-statistics helpers shared by the serving layers and the
 //! bench emitters.
 //!
-//! Every percentile reported anywhere in the workspace — `p95`/`p99` on
-//! the serve reports, the front-end's offered-load sweep, the scenario
-//! matrix — goes through [`duration_percentile`], so all of them agree on
+//! Every percentile reported anywhere in the workspace — `p95`/`p99` in
+//! the serving bench snapshots, the front-end's offered-load sweep, the
+//! scenario matrix — goes through [`duration_percentile`], so all of them agree on
 //! one definition: **nearest-rank on the sorted sample**, index
 //! `⌊(len − 1) · p / 100⌋`. That definition never interpolates (the
 //! returned value is always an observed sample) and pins ties
@@ -22,10 +22,10 @@ use std::time::Duration;
 
 /// A latency distribution summarised once from a sample set.
 ///
-/// The serve reports (`ServeReport`, `ShardedServeReport`,
-/// `ScenarioReport`) and the per-interval serving timelines all expose the
-/// same five statistics — mean, p50, p95, p99, max — and before this type
-/// each of them re-sorted the raw samples per accessor call. A
+/// The scenario reports, the serving bench emitters and the per-interval
+/// serving timelines all expose the same five statistics — mean, p50,
+/// p95, p99, max — and before this type each of them re-sorted the raw
+/// samples per accessor call. A
 /// `LatencySummary` sorts **once** at construction and answers every
 /// accessor from the precomputed fields.
 ///
@@ -111,7 +111,7 @@ impl LatencySummary {
 
 /// One fixed-width slice of a serving timeline.
 ///
-/// Produced by [`bucket_timeline`]; the serve/scenario reports expose a
+/// Produced by [`bucket_timeline`]; the scenario reports expose a
 /// `Vec<TimelineInterval>` so bench emitters and the elastic controller's
 /// offline analysis can see *when* a run degraded, not just its aggregate
 /// tail.

@@ -1,12 +1,13 @@
 //! Async serving front-end: bounded admission queue, worker pool,
 //! backpressure and per-query deadlines.
 //!
-//! [`serve_mixed`](crate::serve_mixed) and
-//! [`serve_sharded`](crate::serve_sharded) drive *scripted* workloads — a
-//! fixed query list drained as fast as the readers can go. A real service
-//! faces the opposite shape: requests arrive on their own clock, pile up
-//! when they outrun capacity, and become worthless once they are too old.
-//! The [`Frontend`] models exactly that:
+//! The [`Frontend`] is the workspace's one serving path. Requests arrive
+//! on their own clock, pile up when they outrun capacity, and become
+//! worthless once they are too old; a *scripted* workload — a fixed query
+//! list drained as fast as the workers can go, beside a writer thread
+//! committing updates — is the same front-end driven by
+//! [`run_closed_loop`](Frontend::run_closed_loop) with no deadline. The
+//! model:
 //!
 //! * **Bounded queue** — submissions go through a fixed-capacity MPMC
 //!   channel ([`crossbeam::channel`]). [`try_submit`](Frontend::try_submit)
@@ -1145,6 +1146,42 @@ mod tests {
         assert_eq!(stats.rejected, 0);
         assert_eq!(stats.deadline_misses, 0);
         assert_eq!(stats.queue_depth, 0);
+    }
+
+    #[test]
+    fn serving_from_a_disk_backed_store_is_bit_identical_to_ram() {
+        // The storage tier slots in underneath SnapshotSource without any
+        // core change: a GraphStore opened over a DiskGraph serves the
+        // same answers as one over the in-RAM CSR it was written from.
+        use simrank_graph::storage::{write_disk_graph, DiskGraph, DiskGraphOptions};
+        let g = gen::gnm(150, 900, 9);
+        let path = std::env::temp_dir().join("simpush-frontend-disk-test.srgd");
+        write_disk_graph(&g, &path, 1024).expect("write SRGD");
+        let disk = DiskGraph::open_mem(&path, DiskGraphOptions::default()).expect("open SRGD");
+        let engine = SimPush::new(Config::new(0.05));
+        let queries: Vec<NodeId> = (0..12).map(|i| (i * 13) % 150).collect();
+        // No writer: every answer is on epoch 0, so the two runs are
+        // deterministic and directly comparable.
+        let serve = |store: GraphStore| {
+            let frontend =
+                Frontend::start(&engine, Arc::new(store), options(2, 2).top_k(5).build());
+            frontend
+                .run_closed_loop(&queries, 2, Duration::from_secs(30))
+                .into_iter()
+                .map(|outcome| match outcome {
+                    Ok(QueryOutcome::Answered(r)) => r,
+                    other => panic!("expected an answer: {other:?}"),
+                })
+                .collect::<Vec<_>>()
+        };
+        let on_disk = serve(GraphStore::open_disk(disk));
+        let on_ram = serve(GraphStore::new(g));
+        assert_eq!(on_disk.len(), queries.len());
+        for ((d, r), &u) in on_disk.iter().zip(&on_ram).zip(&queries) {
+            assert_eq!((d.node, r.node), (u, u));
+            assert_eq!(d.top, r.top, "node {u}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

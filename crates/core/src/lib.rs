@@ -52,25 +52,22 @@
 //! push stages, and warm results are bit-identical to cold ones — see the
 //! [`workspace`] module docs for why.
 //!
-//! # Concurrent serving (dynamic graphs)
+//! # Serving (dynamic graphs)
 //!
-//! [`serve_mixed`] drives the paper's "frequent updates" scenario end to
-//! end: a writer thread commits edge-update batches to a
-//! [`GraphStore`](simrank_graph::GraphStore) while reader threads answer
-//! queries on immutable epoch snapshots — see the [`serve`] module docs.
-//! [`serve_sharded`] scales the writer side across the K shards of a
-//! [`ShardedStore`](simrank_graph::ShardedStore), with barrier-consistent
-//! composite cuts and the same bit-identity guarantee.
-//!
-//! # Serving front-end (admission control)
-//!
-//! The scripted serving loops drain a fixed query list; the [`Frontend`]
-//! models real arrival traffic instead: a bounded admission queue with
-//! non-blocking backpressure ([`Frontend::try_submit`] returns
+//! The [`Frontend`] is the one serving path: a bounded admission queue
+//! with non-blocking backpressure ([`Frontend::try_submit`] returns
 //! [`SubmitError::Overloaded`] when full), a worker pool answering on
-//! per-request fresh snapshots, and per-query deadlines whose expirations
-//! are dropped at dequeue and counted — see the [`frontend`] module docs.
-//! `FrontendOptions` construction migrated to a validating builder
+//! per-request fresh snapshots of any [`SnapshotSource`] — a
+//! [`GraphStore`](simrank_graph::GraphStore) epoch or a
+//! [`ShardedStore`](simrank_graph::ShardedStore) consistent cut — and
+//! per-query deadlines whose expirations are dropped at dequeue and
+//! counted; see the [`frontend`] module docs. The paper's "frequent
+//! updates" scenario is a front-end beside a writer thread: the writer
+//! commits edge-update batches (or drives every shard at once through
+//! [`ShardedStore::commit_lockstep`](simrank_graph::ShardedStore::commit_lockstep))
+//! while [`Frontend::run_closed_loop`] drains a query list, and every
+//! answer replays bit for bit on the epoch or cut it records.
+//! `FrontendOptions` are built through a validating builder
 //! ([`FrontendOptions::builder`]); the struct is `#[non_exhaustive]`, so
 //! new serving knobs land without breaking call sites.
 //!
@@ -96,7 +93,6 @@ pub mod gamma;
 pub mod hitting;
 pub mod query;
 pub mod reverse_push;
-pub mod serve;
 pub mod source_graph;
 pub mod source_push;
 pub mod workspace;
@@ -115,9 +111,5 @@ pub use frontend::{
     FrontendStats, IntervalSample, QueryOutcome, SnapshotSource, SubmitError, Ticket,
 };
 pub use query::{QueryResult, QueryStats, SimPush};
-pub use serve::{
-    serve_mixed, serve_sharded, QueryRecord, ServeOptions, ServeReport, ShardUpdateRecord,
-    ShardedServeOptions, ShardedServeReport, UpdateRecord,
-};
 pub use source_graph::SourceGraph;
 pub use workspace::QueryWorkspace;

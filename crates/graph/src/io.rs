@@ -25,7 +25,6 @@
 use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
 use crate::view::GraphView;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use simrank_common::NodeId;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -111,40 +110,50 @@ pub fn write_edge_list<W: Write>(g: &CsrGraph, writer: W) -> Result<(), IoError>
 }
 
 /// Serialises the graph into the compact binary snapshot format.
-pub fn to_binary(g: &CsrGraph) -> Bytes {
+pub fn to_binary(g: &CsrGraph) -> Vec<u8> {
     let (offsets, targets) = g.raw_out();
-    let mut buf = BytesMut::with_capacity(4 + 16 + offsets.len() * 8 + targets.len() * 4);
-    buf.put_slice(MAGIC);
-    buf.put_u64_le(g.num_nodes() as u64);
-    buf.put_u64_le(g.num_edges() as u64);
+    let mut buf = Vec::with_capacity(4 + 16 + offsets.len() * 8 + targets.len() * 4);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&(g.num_nodes() as u64).to_le_bytes());
+    buf.extend_from_slice(&(g.num_edges() as u64).to_le_bytes());
     for &o in offsets {
-        buf.put_u64_le(o as u64);
+        buf.extend_from_slice(&(o as u64).to_le_bytes());
     }
     for &t in targets {
-        buf.put_u32_le(t);
+        buf.extend_from_slice(&t.to_le_bytes());
     }
-    buf.freeze()
+    buf
 }
 
-/// Deserialises a graph from the binary snapshot format, validating the
+/// Splits the first `N` bytes off `data`; `None` if fewer remain.
+fn take<const N: usize>(data: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = data.split_first_chunk::<N>()?;
+    *data = rest;
+    Some(*head)
+}
+
+/// Deserialises a graph from the binary snapshot format (the bytes
+/// [`to_binary`] returns, or a file's contents), validating the
 /// structural invariants.
-pub fn from_binary(mut data: Bytes) -> Result<CsrGraph, IoError> {
-    if data.remaining() < 20 {
-        return Err(IoError::Format("truncated header".into()));
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
+pub fn from_binary(data: impl AsRef<[u8]>) -> Result<CsrGraph, IoError> {
+    let mut data = data.as_ref();
+    let truncated = || IoError::Format("truncated header".into());
+    let magic: [u8; 4] = take(&mut data).ok_or_else(truncated)?;
     if &magic != MAGIC {
         return Err(IoError::Format(format!("bad magic {magic:?}")));
     }
-    let n64 = data.get_u64_le();
-    let m64 = data.get_u64_le();
+    let n64 = take(&mut data)
+        .map(u64::from_le_bytes)
+        .ok_or_else(truncated)?;
+    let m64 = take(&mut data)
+        .map(u64::from_le_bytes)
+        .ok_or_else(truncated)?;
     // The header fields are untrusted: a corrupt/malicious `n` or `m` must
     // fail cleanly here, before any allocation. `u128` arithmetic rules out
     // the wrap that `(n + 1) * 8 + m * 4` in `usize` allows (a wrapped
     // `need` can collide with the actual payload size and defeat the size
-    // check), and the equality against `remaining()` bounds both fields by
-    // the bytes actually present, so `Vec::with_capacity` below can never
+    // check), and the equality against the payload length bounds both
+    // fields by the bytes actually present, so no allocation below can
     // exceed the input size.
     const MAX_NODES: u64 = u32::MAX as u64 + 1; // node ids are u32
     if n64 > MAX_NODES {
@@ -153,25 +162,34 @@ pub fn from_binary(mut data: Bytes) -> Result<CsrGraph, IoError> {
         )));
     }
     let need = (n64 as u128 + 1) * 8 + m64 as u128 * 4;
-    if need != data.remaining() as u128 {
+    if need != data.len() as u128 {
         return Err(IoError::Format(format!(
             "payload size {} does not match n={n64}, m={m64}",
-            data.remaining()
+            data.len()
         )));
     }
     let n = n64 as usize;
     let m = m64 as usize;
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        offsets.push(data.get_u64_le() as usize);
-    }
+    // The size check above makes every chunk below whole: `n + 1` offsets
+    // of 8 bytes, then exactly `m` targets of 4.
+    let (offset_bytes, target_bytes) = data.split_at((n + 1) * 8);
+    let offsets: Vec<usize> = offset_bytes
+        .as_chunks::<8>()
+        .0
+        .iter()
+        .map(|&b| u64::from_le_bytes(b) as usize)
+        .collect();
+    let mut targets = target_bytes
+        .as_chunks::<4>()
+        .0
+        .iter()
+        .map(|&b| u32::from_le_bytes(b));
     if offsets[0] != 0 || offsets[n] != m || offsets.windows(2).any(|w| w[0] > w[1]) {
         return Err(IoError::Format("corrupt offsets".into()));
     }
     let mut edges = Vec::with_capacity(m);
-    for s in 0..n {
-        for _ in offsets[s]..offsets[s + 1] {
-            let t = data.get_u32_le();
+    for (s, w) in offsets.windows(2).enumerate() {
+        for t in targets.by_ref().take(w[1] - w[0]) {
             if t as usize >= n {
                 return Err(IoError::Format(format!("target {t} out of range")));
             }
@@ -196,8 +214,7 @@ pub fn save_binary<P: AsRef<Path>>(g: &CsrGraph, path: P) -> Result<(), IoError>
 
 /// Loads a binary snapshot from a file.
 pub fn load_binary<P: AsRef<Path>>(path: P) -> Result<CsrGraph, IoError> {
-    let data = std::fs::read(path)?;
-    from_binary(Bytes::from(data))
+    from_binary(std::fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -246,30 +263,30 @@ mod tests {
         let g = shapes::cycle(4);
         let bytes = to_binary(&g);
 
-        let mut bad_magic = bytes.to_vec();
+        let mut bad_magic = bytes.clone();
         bad_magic[0] = b'X';
-        assert!(from_binary(Bytes::from(bad_magic)).is_err());
+        assert!(from_binary(bad_magic).is_err());
 
-        let truncated = bytes.slice(0..bytes.len() - 2);
+        let truncated = &bytes[..bytes.len() - 2];
         assert!(from_binary(truncated).is_err());
+        assert!(from_binary(&bytes[..10]).is_err(), "short header");
 
-        let mut bad_target = bytes.to_vec();
+        let mut bad_target = bytes.clone();
         let len = bad_target.len();
         bad_target[len - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(from_binary(Bytes::from(bad_target)).is_err());
+        assert!(from_binary(bad_target).is_err());
     }
 
     /// Builds a 20-byte header (magic + n + m) followed by `payload` bytes
     /// of zeros — the attacker-controlled shapes the hardened decoder must
     /// reject without panicking, wrapping, or allocating proportionally to
     /// the claimed counts.
-    fn crafted(n: u64, m: u64, payload: usize) -> Bytes {
-        let mut buf = BytesMut::with_capacity(20 + payload);
-        buf.put_slice(MAGIC);
-        buf.put_u64_le(n);
-        buf.put_u64_le(m);
-        buf.put_slice(&vec![0u8; payload]);
-        buf.freeze()
+    fn crafted(n: u64, m: u64, payload: usize) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&n.to_le_bytes());
+        buf.extend_from_slice(&m.to_le_bytes());
+        buf.resize(20 + payload, 0);
+        buf
     }
 
     #[test]

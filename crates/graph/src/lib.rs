@@ -58,7 +58,8 @@ pub use csr::CsrGraph;
 pub use mutable::MutableGraph;
 pub use overlay::DeltaOverlay;
 pub use sharded::{
-    CutInfo, HashPartitioner, Partitioner, RangePartitioner, ShardedSnapshot, ShardedStore,
+    CutInfo, HashPartitioner, Partitioner, RangePartitioner, ShardCommit, ShardedSnapshot,
+    ShardedStore,
 };
 pub use simrank_common::NodeId;
 pub use stats::GraphStats;

@@ -21,8 +21,8 @@
 //!
 //! * **K independent writers.** Each shard is a single-writer
 //!   [`GraphStore`]; K writer threads apply and publish concurrently with
-//!   no shared lock (the serving loop `simpush::serve::serve_sharded`
-//!   drives exactly this shape).
+//!   no shared lock ([`ShardedStore::commit_lockstep`] drives exactly this
+//!   shape).
 //! * **Smaller compaction domains.** A shard compaction rebuilds
 //!   `O(n + m_k)` instead of `O(n + m)`; with a locality-friendly
 //!   partitioner `m_k ≈ m / K`, so the amortised compaction cost per
@@ -41,17 +41,18 @@
 //! unchanged — and bit-identically to a single [`GraphStore`] or a fresh
 //! CSR rebuild of the same logical graph (`tests/prop_sharded.rs` pins
 //! this). The sequential [`commit`](ShardedStore::commit) refreshes
-//! automatically; concurrent serving loops publish per shard and call
-//! [`refresh`](ShardedStore::refresh) from exactly one thread at a barrier
-//! between batches.
+//! automatically; the concurrent
+//! [`commit_lockstep`](ShardedStore::commit_lockstep) publishes per shard
+//! and calls [`refresh`](ShardedStore::refresh) from exactly one writer at
+//! a barrier between batches. The whole cut protocol lives in this module.
 
 use crate::csr::CsrGraph;
 use crate::store::{GraphSnapshot, GraphStore, GraphUpdate, PublishInfo};
 use crate::view::GraphView;
 use simrank_common::NodeId;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
+use std::sync::{Arc, Barrier, Mutex, RwLock};
+use std::time::{Duration, Instant};
 
 /// Maps node ids to shard indices. Implementations must be pure functions
 /// of the node id (same id → same shard, forever): routing happens on
@@ -263,14 +264,16 @@ impl<P: Partitioner> GraphView for ShardedSnapshot<P> {
 /// * **Sequential** — [`commit`](Self::commit) applies a batch to every
 ///   incident shard, publishes them all and refreshes the composite:
 ///   semantics identical to a single [`GraphStore`] commit.
-/// * **Concurrent** — K writer threads each drive one shard through
+/// * **Concurrent** — [`commit_lockstep`](Self::commit_lockstep) runs K
+///   scoped writer threads, each driving one shard through
 ///   [`apply_shard`](Self::apply_shard) /
 ///   [`publish_shard`](Self::publish_shard) on the per-shard sub-batches
-///   from [`route_batch`](Self::route_batch), then exactly one thread
-///   calls [`refresh`](Self::refresh) while no publish is in flight (a
-///   barrier between batches — see `simpush::serve::serve_sharded`).
-///   Readers call [`snapshot`](Self::snapshot) at any time and always see
-///   the latest consistent cut, never a torn half-mirrored state.
+///   from [`route_batch`](Self::route_batch), and exactly one of them
+///   calls [`refresh`](Self::refresh) at a barrier between batches, while
+///   no publish is in flight. Readers — typically a `simpush::Frontend`
+///   over this store — call [`snapshot`](Self::snapshot) at any time and
+///   always see the latest consistent cut, never a torn half-mirrored
+///   state.
 #[derive(Debug)]
 pub struct ShardedStore<P: Partitioner + Clone> {
     partitioner: P,
@@ -564,6 +567,91 @@ impl<P: Partitioner + Clone> ShardedStore<P> {
         }
         (effective, self.refresh_cut())
     }
+
+    /// Concurrent whole-stream commit: splits `updates` into global
+    /// batches of `batch_size`, routes each into per-shard sub-batches,
+    /// and runs K scoped shard writers in lockstep over them. Per batch,
+    /// every writer applies and publishes its sub-batch, the writers meet
+    /// at a barrier, exactly one of them [`refresh`](Self::refresh)es the
+    /// composite, and a second barrier holds everyone out of the next
+    /// batch until the refresh is done (a publish racing the refresh would
+    /// tear the cut). Global batch `g` therefore becomes cut
+    /// `cut_before + g + 1`, and readers calling [`snapshot`](Self::snapshot)
+    /// meanwhile only ever see whole batch prefixes.
+    ///
+    /// Returns one [`ShardCommit`] per (shard, batch), grouped by shard
+    /// and in batch order within each shard. Routing runs on the calling
+    /// thread before the writers start, so a caller timing this call pays
+    /// the routing cost an unsharded store would not.
+    ///
+    /// # Panics
+    /// Panics if `batch_size` is 0 or any update names an out-of-range
+    /// endpoint. Both are checked before any writer starts: a writer that
+    /// panicked mid-stream would leave the others waiting at the barrier.
+    pub fn commit_lockstep(&self, updates: &[GraphUpdate], batch_size: usize) -> Vec<ShardCommit> {
+        assert!(batch_size >= 1, "update batches must be non-empty");
+        for u in updates {
+            let (s, t) = u.endpoints();
+            assert!(
+                (s as usize) < self.n && (t as usize) < self.n,
+                "update ({s},{t}) out of range for {} nodes",
+                self.n
+            );
+        }
+        let batches: Vec<Vec<Vec<GraphUpdate>>> = updates
+            .chunks(batch_size)
+            .map(|b| self.route_batch(b))
+            .collect();
+        let barrier = Barrier::new(self.num_shards());
+        let mut per_shard: Vec<Vec<ShardCommit>> = vec![Vec::new(); self.num_shards()];
+        std::thread::scope(|scope| {
+            for (shard, records) in per_shard.iter_mut().enumerate() {
+                let (barrier, batches) = (&barrier, &batches);
+                scope.spawn(move || {
+                    for (batch, routed) in batches.iter().enumerate() {
+                        let t = Instant::now();
+                        let applied = self.apply_shard(shard, &routed[shard]);
+                        let info = self.publish_shard(shard);
+                        records.push(ShardCommit {
+                            shard,
+                            batch,
+                            applied,
+                            epoch: info.epoch,
+                            compacted: info.compacted,
+                            latency: t.elapsed(),
+                        });
+                        if barrier.wait().is_leader() {
+                            self.refresh();
+                        }
+                        barrier.wait();
+                    }
+                });
+            }
+        });
+        per_shard.into_iter().flatten().collect()
+    }
+}
+
+/// One shard writer's commit of its sub-batch of a global batch in
+/// [`ShardedStore::commit_lockstep`].
+#[derive(Debug, Clone, Copy)]
+pub struct ShardCommit {
+    /// Which shard committed.
+    pub shard: usize,
+    /// Global batch index; batch `g` of a call produced that call's
+    /// `g + 1`-th cut.
+    pub batch: usize,
+    /// Owner-effective updates in the sub-batch (see
+    /// [`apply_shard`](ShardedStore::apply_shard)): each logical update
+    /// counted once across shards, so the sum over a call is the stream's
+    /// effective update count.
+    pub applied: usize,
+    /// Shard-local epoch the commit published.
+    pub epoch: u64,
+    /// Whether this shard's publish compacted its overlay.
+    pub compacted: bool,
+    /// The shard's apply + publish time (excludes barrier waits).
+    pub latency: Duration,
 }
 
 #[cfg(test)]
@@ -801,10 +889,97 @@ mod tests {
     }
 
     #[test]
+    fn lockstep_commit_never_publishes_a_torn_cut() {
+        const BATCH: usize = 8;
+        let base = gen::gnm(90, 360, 12);
+        // Insert/remove toggles over spread-out pairs: under a 3-way hash
+        // split most of them cross shards and are mirrored.
+        let updates: Vec<GraphUpdate> = (0..60)
+            .map(|i| {
+                let (s, t) = ((i * 7 % 90) as NodeId, ((i * 13 + 1) % 90) as NodeId);
+                if i % 3 == 2 {
+                    GraphUpdate::Remove(s, t)
+                } else {
+                    GraphUpdate::Insert(s, t)
+                }
+            })
+            .collect();
+        let p = HashPartitioner::new(3);
+        let mirrored = updates
+            .iter()
+            .filter(|u| {
+                let (s, t) = u.endpoints();
+                p.shard_of(s) != p.shard_of(t)
+            })
+            .count();
+        assert!(2 * mirrored > updates.len(), "most updates cross shards");
+        let batches = updates.len().div_ceil(BATCH);
+        // Cut c must be exactly the first c batches, mirrors and all.
+        let prefixes: Vec<CsrGraph> = (0..=batches)
+            .map(|c| replay(&base, &updates[..(c * BATCH).min(updates.len())]))
+            .collect();
+        let mut replica = MutableGraph::from_csr(&base);
+        let effective = updates
+            .iter()
+            .filter(|u| {
+                let (s, t) = u.endpoints();
+                match u {
+                    GraphUpdate::Insert(..) => replica.insert_edge(s, t),
+                    GraphUpdate::Remove(..) => replica.remove_edge(s, t),
+                }
+            })
+            .count();
+
+        // A few rounds, since a torn cut only shows when the reader
+        // happens to acquire it.
+        for _ in 0..4 {
+            let store = ShardedStore::with_compaction_threshold(&base, p, 6);
+            let mut commits = Vec::new();
+            std::thread::scope(|scope| {
+                scope.spawn(|| commits = store.commit_lockstep(&updates, BATCH));
+                // A concurrent reader checks every cut it happens to observe.
+                loop {
+                    let snap = store.snapshot();
+                    let cut = snap.cut() as usize;
+                    assert!(snap.to_csr() == prefixes[cut], "cut {cut} is torn");
+                    if cut == batches {
+                        break;
+                    }
+                }
+            });
+
+            assert_eq!(commits.len(), 3 * batches);
+            for shard in 0..3 {
+                let order: Vec<usize> = commits
+                    .iter()
+                    .filter(|c| c.shard == shard)
+                    .map(|c| c.batch)
+                    .collect();
+                assert_eq!(order, (0..batches).collect::<Vec<_>>(), "shard {shard}");
+            }
+            assert_eq!(store.cut(), batches as u64);
+            assert_eq!(commits.iter().map(|c| c.applied).sum::<usize>(), effective);
+            assert!(
+                store.snapshot().to_csr() == replica.snapshot(),
+                "final graph"
+            );
+            assert!(store.compactions() >= 1, "threshold 6 must compact");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "out of range")]
     fn rejects_out_of_range_update() {
         let base = GraphBuilder::new().with_num_nodes(4).build();
         ShardedStore::new(&base, HashPartitioner::new(2)).commit(&[GraphUpdate::Insert(0, 9)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn lockstep_rejects_out_of_range_update_before_writing() {
+        let base = GraphBuilder::new().with_num_nodes(4).build();
+        let store = ShardedStore::new(&base, HashPartitioner::new(2));
+        store.commit_lockstep(&[GraphUpdate::Insert(0, 1), GraphUpdate::Insert(0, 9)], 1);
     }
 
     #[test]

@@ -2,19 +2,26 @@
 //! scenario as a running system.
 //!
 //! A [`GraphStore`] serves a social graph: one writer thread commits edge
-//! update batches and publishes immutable epoch snapshots, while four
-//! reader threads answer single-source SimRank queries on whatever epoch
-//! is current — no rebuild step, no locking beyond an `Arc` swap. At the
-//! end we show the determinism contract: re-querying the final epoch on a
-//! full CSR rebuild reproduces the served answer bit for bit.
+//! update batches and publishes immutable epoch snapshots, while a
+//! four-worker [`Frontend`] answers single-source SimRank queries on
+//! whatever epoch is current — no rebuild step, no locking beyond an `Arc`
+//! swap. At the end we show the determinism contract: re-querying the
+//! final epoch on a full CSR rebuild reproduces the served answer bit for
+//! bit.
 //!
 //! ```sh
 //! cargo run --release --example concurrent_serving
 //! ```
 
-use simpush::{serve_mixed, Config, ServeOptions, SimPush};
+use simpush::{Config, Frontend, FrontendOptions, QueryOutcome, SimPush};
+use simrank_common::stats::LatencySummary;
 use simrank_suite::eval::mixed::mixed_workload;
 use simrank_suite::prelude::*;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+const WORKERS: usize = 4;
+const UPDATES_PER_BATCH: usize = 32;
 
 fn main() {
     let base = simrank_suite::graph::gen::rmat(
@@ -30,52 +37,79 @@ fn main() {
     );
 
     let workload = mixed_workload(&base, 1_024, 48, 0.3, 42);
-    let store = GraphStore::with_compaction_threshold(base.clone(), 256);
+    let store = Arc::new(GraphStore::with_compaction_threshold(base.clone(), 256));
     let engine = SimPush::new(Config::new(0.02));
-    let opts = ServeOptions {
-        reader_threads: 4,
-        updates_per_batch: 32,
-        top_k: 3,
-    };
+    let frontend = Frontend::start(
+        &engine,
+        store.clone(),
+        FrontendOptions::builder()
+            .workers(WORKERS)
+            .queue_capacity(WORKERS)
+            .default_deadline(None)
+            .top_k(3)
+            .build(),
+    );
 
     println!(
-        "serving {} queries ({} readers) against {} updates (batches of {})…\n",
+        "serving {} queries ({WORKERS} workers) against {} updates (batches of {UPDATES_PER_BATCH})…\n",
         workload.queries.len(),
-        opts.reader_threads,
         workload.updates.len(),
-        opts.updates_per_batch
     );
-    let report = serve_mixed(&engine, &store, &workload.queries, &workload.updates, &opts);
+    let mut commit_times = Vec::new();
+    let start = Instant::now();
+    let outcomes = std::thread::scope(|scope| {
+        // The writer: one publish per batch, beside the front-end.
+        scope.spawn(|| {
+            for batch in workload.updates.chunks(UPDATES_PER_BATCH) {
+                let t = Instant::now();
+                store.commit(batch);
+                commit_times.push(t.elapsed());
+            }
+        });
+        frontend.run_closed_loop(&workload.queries, WORKERS, Duration::from_secs(60))
+    });
+    let wall = start.elapsed();
+    frontend.shutdown();
+    let answers: Vec<_> = outcomes
+        .into_iter()
+        .map(|outcome| match outcome {
+            Ok(QueryOutcome::Answered(r)) => r,
+            other => panic!("query not answered: {other:?}"),
+        })
+        .collect();
+    let latency = LatencySummary::from_samples(answers.iter().map(|r| r.service));
 
     println!("--- serving run ---");
     println!(
         "wall time            : {:>10.2?}  ({:.0} queries/s)",
-        report.wall,
-        report.queries_per_sec()
+        wall,
+        answers.len() as f64 / wall.as_secs_f64()
     );
     println!(
         "query latency        : {:>10.2?} avg, {:.2?} p95",
-        report.avg_query_latency(),
-        report.p95_query_latency()
+        latency.mean(),
+        latency.p95().unwrap_or_default()
     );
     println!(
         "update batch latency : {:>10.2?} avg (apply + publish)",
-        report.avg_update_latency()
+        LatencySummary::from_samples(commit_times).mean()
     );
     println!(
         "epochs published     : {:>10}  ({} compactions, {:.2?} compacting)",
-        report.final_epoch, report.compactions, report.compaction_time
+        store.epoch(),
+        store.compactions(),
+        store.compaction_time()
     );
-    let epochs: std::collections::BTreeSet<u64> = report.queries.iter().map(|q| q.epoch).collect();
+    let epochs: std::collections::BTreeSet<u64> = answers.iter().map(|r| r.epoch).collect();
     println!(
         "epochs observed      : {:>10} distinct ({:?}…)",
         epochs.len(),
         epochs.iter().take(6).collect::<Vec<_>>()
     );
-    if let Some(rec) = report.queries.iter().find(|q| !q.top.is_empty()) {
+    if let Some(r) = answers.iter().find(|r| !r.top.is_empty()) {
         println!(
             "sample answer        : query {} @ epoch {} → top {:?}",
-            rec.node, rec.epoch, rec.top
+            r.node, r.epoch, r.top
         );
     }
 

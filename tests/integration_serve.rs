@@ -1,5 +1,6 @@
-//! Deterministic integration tests for the serving entry points
-//! (`serve_mixed`, `serve_sharded`, and the `Frontend` admission layer).
+//! Deterministic integration tests for the serving path: a `Frontend`
+//! beside a writer thread, on a `GraphStore` or on a `ShardedStore`
+//! committed through its lockstep shard writers.
 //!
 //! `prop_store` races 4 readers against a writer to stress epoch
 //! consistency; these tests pin the *deterministic* half of the serving
@@ -8,22 +9,20 @@
 //! * record counts, the update-epoch sequence and the compaction count
 //!   are exact, run after run;
 //! * every query answer — whatever epoch/cut scheduling happened to give
-//!   it — is bit-identical to a cold [`SimPush::query_seeded`] on a fresh
-//!   CSR rebuild of exactly that epoch/cut's graph, reconstructed by
-//!   replaying the committed update prefix. The front-end tests extend
-//!   this replay harness through the admission queue: whatever worker
-//!   served a request, and whatever epoch/cut its snapshot happened to
-//!   be, the recorded answer must reproduce from that version's rebuild.
+//!   it, and whatever worker served it through the admission queue — is
+//!   bit-identical to a cold [`SimPush::query_seeded`] on a fresh CSR
+//!   rebuild of exactly that epoch/cut's graph, reconstructed by
+//!   replaying the committed update prefix.
 
 use simpush::{
-    serve_mixed, serve_sharded, Config, Frontend, FrontendOptions, QueryOutcome, ServeOptions,
-    ShardedServeOptions, SimPush, Ticket,
+    Config, Frontend, FrontendOptions, FrontendResponse, QueryOutcome, SimPush, SnapshotSource,
+    Ticket,
 };
 use simrank_eval::mixed::{mixed_workload, sharded_workload};
 use simrank_eval::scenario::{calibrate, catalog, run_scenario, ScenarioScale};
 use simrank_suite::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Replays the first `count` updates of `updates` onto `base`.
 fn graph_after(base: &CsrGraph, updates: &[GraphUpdate], count: usize) -> CsrGraph {
@@ -38,76 +37,112 @@ fn graph_after(base: &CsrGraph, updates: &[GraphUpdate], count: usize) -> CsrGra
     replica.snapshot()
 }
 
+/// Answers `queries` closed-loop through a [`Frontend`] with `workers`
+/// workers over `store`, while `write` runs on a scoped writer thread
+/// beside it. Every query must be answered; the responses come back in
+/// query order.
+fn serve_beside<S: SnapshotSource>(
+    engine: &SimPush,
+    store: &Arc<S>,
+    workers: usize,
+    top_k: usize,
+    queries: &[NodeId],
+    write: impl FnOnce() + Send,
+) -> Vec<FrontendResponse> {
+    let frontend = Frontend::start(
+        engine,
+        store.clone(),
+        FrontendOptions::builder()
+            .workers(workers)
+            .queue_capacity(workers)
+            .default_deadline(None)
+            .top_k(top_k)
+            .build(),
+    );
+    let outcomes = std::thread::scope(|scope| {
+        scope.spawn(write);
+        frontend.run_closed_loop(queries, workers, Duration::from_secs(30))
+    });
+    frontend.shutdown();
+    outcomes
+        .into_iter()
+        .zip(queries)
+        .map(|(outcome, &u)| match outcome {
+            Ok(QueryOutcome::Answered(r)) => {
+                assert_eq!(r.node, u);
+                r
+            }
+            other => panic!("request {u} not answered: {other:?}"),
+        })
+        .collect()
+}
+
+/// Asserts every answer reproduces from its recorded epoch or cut `c`:
+/// the base plus the first `c` batches of `batch` updates.
+fn assert_replays(
+    engine: &SimPush,
+    base: &CsrGraph,
+    updates: &[GraphUpdate],
+    batch: usize,
+    top_k: usize,
+    answers: &[FrontendResponse],
+) {
+    let versions = updates.len().div_ceil(batch) as u64;
+    for r in answers {
+        assert!(r.epoch <= versions, "version {} from the future", r.epoch);
+        let g = graph_after(base, updates, r.epoch as usize * batch);
+        let solo = engine.query_seeded(&g, r.node);
+        assert_eq!(
+            r.top,
+            solo.top_k(top_k),
+            "version {} answer for u={} drifted from rebuild",
+            r.epoch,
+            r.node
+        );
+    }
+}
+
 #[test]
-fn single_reader_single_writer_serve_mixed_is_pinned() {
+fn single_worker_frontend_beside_a_writer_is_pinned() {
     const BATCH: usize = 8;
     const TOP_K: usize = 3;
     let base = simrank_suite::graph::gen::gnm(180, 900, 21);
     let workload = mixed_workload(&base, 64, 12, 0.3, 33);
-    let store = GraphStore::with_compaction_threshold(base.clone(), 24);
+    let store = Arc::new(GraphStore::with_compaction_threshold(base.clone(), 24));
     let engine = SimPush::new(Config::new(0.05));
 
-    let report = serve_mixed(
-        &engine,
-        &store,
-        &workload.queries,
-        &workload.updates,
-        &ServeOptions {
-            reader_threads: 1,
-            updates_per_batch: BATCH,
-            top_k: TOP_K,
-        },
-    );
+    // (applied, epoch, compacted, latency) per committed batch.
+    let mut commits: Vec<(usize, u64, bool, Duration)> = Vec::new();
+    let answers = serve_beside(&engine, &store, 1, TOP_K, &workload.queries, || {
+        for chunk in workload.updates.chunks(BATCH) {
+            let t = Instant::now();
+            let (applied, info) = store.commit(chunk);
+            commits.push((applied, info.epoch, info.compacted, t.elapsed()));
+        }
+    });
 
-    // Pinned record counts: every query answered once, one update record
-    // per batch, epochs published strictly in sequence.
-    assert_eq!(report.queries.len(), 12);
-    assert_eq!(report.updates.len(), 8, "64 updates / batches of 8");
-    assert_eq!(report.final_epoch, 8);
-    let epochs: Vec<u64> = report.updates.iter().map(|u| u.epoch).collect();
+    // Pinned record counts: every query answered once, one commit per
+    // batch, epochs published strictly in sequence.
+    assert_eq!(answers.len(), 12);
+    assert_eq!(commits.len(), 8, "64 updates / batches of 8");
+    assert_eq!(store.epoch(), 8);
+    let epochs: Vec<u64> = commits.iter().map(|c| c.1).collect();
     assert_eq!(epochs, (1..=8).collect::<Vec<u64>>());
     // The generator emits only effective updates, so every batch applies
     // in full — and the compaction schedule is therefore deterministic:
     // threshold 24 over 64 effective updates fires exactly twice
     // (churn resets on compaction: 24 at epoch 3, 24 more by epoch 6).
-    for rec in &report.updates {
-        assert_eq!(rec.applied, BATCH);
-    }
-    assert_eq!(report.compactions, 2);
-    let compacted: Vec<u64> = report
-        .updates
-        .iter()
-        .filter(|u| u.compacted)
-        .map(|u| u.epoch)
-        .collect();
+    assert!(commits.iter().all(|c| c.0 == BATCH));
+    assert_eq!(store.compactions(), 2);
+    let compacted: Vec<u64> = commits.iter().filter(|c| c.2).map(|c| c.1).collect();
     assert_eq!(compacted, vec![3, 6]);
 
     // Latency records are measured, not defaulted.
-    assert!(report.wall > std::time::Duration::ZERO);
-    assert!(report
-        .queries
-        .iter()
-        .all(|q| q.latency > std::time::Duration::ZERO));
-    assert!(report
-        .updates
-        .iter()
-        .all(|u| u.latency > std::time::Duration::ZERO));
-    assert!(report.avg_query_latency() >= report.queries.iter().map(|q| q.latency).min().unwrap());
+    assert!(answers.iter().all(|r| r.service > Duration::ZERO));
+    assert!(commits.iter().all(|c| c.3 > Duration::ZERO));
 
     // The serving contract: each answer is exact for its recorded epoch.
-    // Epoch e is the base plus the first e batches.
-    for rec in &report.queries {
-        assert!(rec.epoch <= report.final_epoch);
-        let g = graph_after(&base, &workload.updates, rec.epoch as usize * BATCH);
-        let solo = engine.query_seeded(&g, rec.node);
-        assert_eq!(
-            rec.top,
-            solo.top_k(TOP_K),
-            "epoch {} answer for u={} drifted from rebuild",
-            rec.epoch,
-            rec.node
-        );
-    }
+    assert_replays(&engine, &base, &workload.updates, BATCH, TOP_K, &answers);
 }
 
 #[test]
@@ -119,33 +154,29 @@ fn sharded_serve_cuts_replay_to_exact_answers() {
     let base = simrank_suite::graph::gen::clustered_copying_web(n, SHARDS, 4, 0.7, 0.05, 17);
     let partitioner = RangePartitioner::new(n, SHARDS);
     let workload = sharded_workload(&base, &partitioner, 80, 10, 0.25, 0.2, 29);
-    let store = ShardedStore::with_compaction_threshold(&base, partitioner, 10);
+    let store = Arc::new(ShardedStore::with_compaction_threshold(
+        &base,
+        partitioner,
+        10,
+    ));
     let engine = SimPush::new(Config::new(0.05));
 
-    let report = serve_sharded(
-        &engine,
-        &store,
-        &workload.queries,
-        &workload.updates,
-        &ShardedServeOptions {
-            reader_threads: 2,
-            updates_per_batch: BATCH,
-            top_k: TOP_K,
-        },
-    );
+    let mut commits = Vec::new();
+    let answers = serve_beside(&engine, &store, 2, TOP_K, &workload.queries, || {
+        commits = store.commit_lockstep(&workload.updates, BATCH);
+    });
 
     // Pinned shape: 80 updates / 16 per global batch = 5 cuts, one commit
     // record per (shard, batch), all effective.
-    assert_eq!(report.queries.len(), 10);
-    assert_eq!(report.final_cut, 5);
-    assert_eq!(report.shard_updates.len(), SHARDS * 5);
-    assert_eq!(report.effective_updates, 80);
+    assert_eq!(answers.len(), 10);
+    assert_eq!(store.cut(), 5);
+    assert_eq!(commits.len(), SHARDS * 5);
+    assert_eq!(commits.iter().map(|c| c.applied).sum::<usize>(), 80);
     for shard in 0..SHARDS {
-        let batches: Vec<usize> = report
-            .shard_updates
+        let batches: Vec<usize> = commits
             .iter()
-            .filter(|r| r.shard == shard)
-            .map(|r| r.batch)
+            .filter(|c| c.shard == shard)
+            .map(|c| c.batch)
             .collect();
         assert_eq!(batches, vec![0, 1, 2, 3, 4], "shard {shard} commit order");
     }
@@ -159,18 +190,7 @@ fn sharded_serve_cuts_replay_to_exact_answers() {
 
     // The consistent-cut contract: cut c is exactly the first c global
     // batches — every recorded answer must reproduce on that graph.
-    for rec in &report.queries {
-        assert!(rec.epoch <= report.final_cut, "cut from the future");
-        let g = graph_after(&base, &workload.updates, rec.epoch as usize * BATCH);
-        let solo = engine.query_seeded(&g, rec.node);
-        assert_eq!(
-            rec.top,
-            solo.top_k(TOP_K),
-            "cut {} answer for u={} drifted from rebuild",
-            rec.epoch,
-            rec.node
-        );
-    }
+    assert_replays(&engine, &base, &workload.updates, BATCH, TOP_K, &answers);
 }
 
 #[test]
@@ -231,22 +251,15 @@ fn frontend_answers_replay_bit_identically_on_their_epochs() {
 
     // Every answer reproduces from its recorded epoch: epoch e is the
     // base plus the first e committed batches.
-    for (outcome, &u) in outcomes.iter().zip(&workload.queries) {
-        let QueryOutcome::Answered(r) = outcome else {
-            panic!("request {u} not answered");
-        };
-        assert_eq!(r.node, u);
-        assert!(r.epoch as usize <= workload.updates.len() / BATCH);
-        let g = graph_after(&base, &workload.updates, r.epoch as usize * BATCH);
-        let solo = engine.query_seeded(&g, u);
-        assert_eq!(
-            r.top,
-            solo.top_k(TOP_K),
-            "epoch {} answer for u={} drifted from rebuild",
-            r.epoch,
-            u
-        );
-    }
+    let answers: Vec<FrontendResponse> = outcomes
+        .into_iter()
+        .zip(&workload.queries)
+        .map(|(outcome, &u)| match outcome {
+            QueryOutcome::Answered(r) if r.node == u => r,
+            other => panic!("request {u} not answered: {other:?}"),
+        })
+        .collect();
+    assert_replays(&engine, &base, &workload.updates, BATCH, TOP_K, &answers);
     // The writer committed everything: final store state == full replay.
     assert_eq!(store.snapshot().to_csr(), workload.final_graph(&base));
 }
@@ -302,24 +315,15 @@ fn frontend_on_a_sharded_store_replays_cuts_identically() {
     writer.join().expect("writer panicked");
     frontend.shutdown();
 
-    for (outcome, &u) in outcomes.iter().zip(&workload.queries) {
-        let QueryOutcome::Answered(r) = outcome else {
-            panic!("request {u} not answered");
-        };
-        assert!(
-            r.epoch as usize <= workload.updates.len() / BATCH,
-            "cut from the future"
-        );
-        let g = graph_after(&base, &workload.updates, r.epoch as usize * BATCH);
-        let solo = engine.query_seeded(&g, u);
-        assert_eq!(
-            r.top,
-            solo.top_k(2),
-            "cut {} answer for u={} drifted from rebuild",
-            r.epoch,
-            u
-        );
-    }
+    let answers: Vec<FrontendResponse> = outcomes
+        .into_iter()
+        .zip(&workload.queries)
+        .map(|(outcome, &u)| match outcome {
+            QueryOutcome::Answered(r) if r.node == u => r,
+            other => panic!("request {u} not answered: {other:?}"),
+        })
+        .collect();
+    assert_replays(&engine, &base, &workload.updates, BATCH, 2, &answers);
     assert_eq!(store.snapshot().to_csr(), workload.final_graph(&base));
 }
 
@@ -394,9 +398,10 @@ fn scenario_answers_replay_bit_identically_on_their_epochs() {
 
 #[test]
 fn sharded_and_unsharded_serving_agree_on_every_cut_boundary() {
-    // Drive the same workload through serve_mixed (single store) and
-    // serve_sharded (3 hash shards) with the same batch size: final
-    // graphs must be identical, and sequential re-commits of each batch
+    // Drive the same workload through a single store and 3 hash shards
+    // (lockstep writers) with the same batch size, a front-end answering
+    // beside each: final graphs must be identical, every answer must
+    // replay on its epoch or cut, and sequential re-commits of each batch
     // must produce identical per-boundary graphs — the serving-level
     // restatement of the prop_sharded bit-identity contract.
     const BATCH: usize = 8;
@@ -404,31 +409,24 @@ fn sharded_and_unsharded_serving_agree_on_every_cut_boundary() {
     let workload = mixed_workload(&base, 48, 6, 0.35, 44);
     let engine = SimPush::new(Config::new(0.05));
 
-    let single = GraphStore::with_compaction_threshold(base.clone(), 12);
-    serve_mixed(
-        &engine,
-        &single,
-        &workload.queries,
-        &workload.updates,
-        &ServeOptions {
-            reader_threads: 2,
-            updates_per_batch: BATCH,
-            top_k: 1,
-        },
-    );
-    let sharded = ShardedStore::with_compaction_threshold(&base, HashPartitioner::new(3), 12);
-    serve_sharded(
-        &engine,
-        &sharded,
-        &workload.queries,
-        &workload.updates,
-        &ShardedServeOptions {
-            reader_threads: 2,
-            updates_per_batch: BATCH,
-            top_k: 1,
-        },
-    );
+    let single = Arc::new(GraphStore::with_compaction_threshold(base.clone(), 12));
+    let single_answers = serve_beside(&engine, &single, 2, 1, &workload.queries, || {
+        for chunk in workload.updates.chunks(BATCH) {
+            single.commit(chunk);
+        }
+    });
+    let sharded = Arc::new(ShardedStore::with_compaction_threshold(
+        &base,
+        HashPartitioner::new(3),
+        12,
+    ));
+    let sharded_answers = serve_beside(&engine, &sharded, 2, 1, &workload.queries, || {
+        sharded.commit_lockstep(&workload.updates, BATCH);
+    });
     assert_eq!(single.snapshot().to_csr(), sharded.snapshot().to_csr());
+    for answers in [&single_answers, &sharded_answers] {
+        assert_replays(&engine, &base, &workload.updates, BATCH, 1, answers);
+    }
 
     // Boundary-by-boundary agreement via sequential commits.
     let single2 = GraphStore::new(base.clone());
